@@ -180,13 +180,10 @@ func collectMeta(cfg runConfig) runMeta {
 	}
 }
 
-// commit names the measured commit: WARDROP_COMMIT when set, else git's
-// HEAD, else "unknown" (a plain source export has no git metadata; the
-// source hash still identifies the code).
+// commit names the measured commit: git's HEAD, else "unknown" (a plain
+// source export has no git metadata; the source hash still identifies the
+// code).
 func commit() string {
-	if c := os.Getenv("WARDROP_COMMIT"); c != "" {
-		return c
-	}
 	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return "unknown"

@@ -12,8 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -33,11 +33,12 @@ const (
 	servePoolSize   = 48   // distinct pool specs
 	serveCacheSize  = 16   // wardserve -cache: a third of the pool
 	serveZipfS      = 1.1  // popularity skew over the pool
-	serveFreshShare = 0.12 // arrivals that are fresh specs (each sent twice)
+	serveFreshShare = 0.04 // arrivals that are fresh specs (each sent twice)
+	freshScale      = 10   // a fresh spec runs this many times a pool spec's phases
 	serveRate       = 500  // fixed arrival rate, arrivals per second
-	fixedReps       = 5    // repetitions of the fixed-rate phase
+	fixedReps       = 7    // repetitions of the fixed-rate phase
 	serveConns      = 2    // load-generating connections
-	serveSpawns     = 5    // set-ups per run; setup_s is their median
+	setupSpawns     = 3    // spawns timed before each phase; the fastest is its set-up time
 
 	// hitLimitMs is the hit_p99_ms limit a ladder rung must meet.
 	hitLimitMs = 100.0
@@ -46,7 +47,7 @@ const (
 	ladderRungs = 7
 	// fixedShare is the share of the run's seconds the fixed-rate phase
 	// takes; the ladder gets the rest.
-	fixedShare = 0.55
+	fixedShare = 0.7
 
 	// failedLatencyMs is the latency recorded for a failed or refused
 	// request: it misses every limit.
@@ -75,15 +76,16 @@ var mixKinds = []struct {
 
 // genScenarioSpec draws one small scenario spec of the given kind: the
 // pigou, braess, links, grid and kink families on the fluid or count
-// engine, or a braess-onset style timeline spec.
-func genScenarioSpec(r *splitMix, name string, kind int) []byte {
+// engine, or a braess-onset style timeline spec. Its run is scale times
+// the pool's length in phases.
+func genScenarioSpec(r *splitMix, name string, kind, scale int) []byte {
 	k := mixKinds[kind%len(mixKinds)]
 	doc := map[string]any{"name": name}
 	if k.timeline {
 		doc["topology"] = map[string]any{"family": "braess"}
 		doc["policy"] = map[string]any{"kind": "uniform"}
 		doc["updatePeriod"] = 0.25
-		doc["horizon"] = 24
+		doc["horizon"] = 24 * scale
 		doc["timeline"] = map[string]any{"events": []any{
 			map[string]any{"at": 0, "action": "block", "from": "a", "to": "b", "penalty": 2 + r.intn(4)},
 			map[string]any{"at": 8 + r.intn(5), "action": "restore", "from": "a", "to": "b"},
@@ -106,10 +108,14 @@ func genScenarioSpec(r *splitMix, name string, kind int) []byte {
 	} else {
 		doc["updatePeriod"] = 0.1
 	}
+	phases := (36 + r.intn(9)) * scale
 	if k.count {
 		doc["engine"] = map[string]any{"kind": "count", "n": 10000 * (1 + r.intn(5)), "seed": 1 + r.intn(1<<20)}
+		// A count-engine phase on these small graphs costs a fraction of a
+		// fluid one; four times the phases keeps its run comparable.
+		phases *= 4
 	}
-	doc["maxPhases"] = 36 + r.intn(9)
+	doc["maxPhases"] = phases
 	if r.intn(3) == 0 {
 		doc["start"] = "skewed"
 	}
@@ -152,9 +158,11 @@ func expect(body []byte) (*mixSpec, error) {
 
 // arrival is one scheduled request and what became of it.
 type arrival struct {
-	due   time.Duration // offset from the phase start
-	spec  *mixSpec      // pool spec; nil for a fresh one
-	fresh int           // index into the fresh list, -1 for pool requests
+	due   time.Duration   // offset from the phase start
+	conn  int             // the connection that sends it
+	spec  *mixSpec        // pool spec; nil for a fresh one
+	fresh int             // index into the fresh list, -1 for pool requests
+	pair  *sync.WaitGroup // a fresh spec's copies are sent together
 
 	// outcome
 	sent, done time.Time
@@ -172,13 +180,14 @@ type mixLoad struct {
 	pool  []*mixSpec
 	zipf  *zipf
 	fresh [][]byte // fresh spec bodies in generation order
+	drawn int      // arrivals scheduled so far
 }
 
 func newMixLoad(seed uint64) (*mixLoad, error) {
 	l := &mixLoad{rng: splitMix{state: seed ^ 0x5e7e}, seed: seed, zipf: newZipf(servePoolSize, serveZipfS)}
 	seen := map[string]bool{}
 	for i := 0; len(l.pool) < servePoolSize; i++ {
-		ms, err := expect(genScenarioSpec(&l.rng, fmt.Sprintf("pool-%d", i), len(l.pool)))
+		ms, err := expect(genScenarioSpec(&l.rng, fmt.Sprintf("pool-%d", i), len(l.pool), 1))
 		if err != nil {
 			return nil, err
 		}
@@ -190,8 +199,12 @@ func newMixLoad(seed uint64) (*mixLoad, error) {
 	return l, nil
 }
 
-// schedule draws Poisson arrivals at rate per second over d: pool repeats
-// and fresh specs, the latter as a pair of requests with one due time.
+// schedule draws Poisson arrivals at rate per second over d: pool repeats,
+// each on a connection drawn at random, and fresh specs, each as one
+// request per connection with one due time. Fresh specs are every
+// 1/serveFreshShare-th arrival rather than a random share, because their
+// engine runs are most of the server's work: a random count of them would
+// move the CPU per request from run to run more than the program does.
 func (l *mixLoad) schedule(rate float64, d time.Duration) []*arrival {
 	var out []*arrival
 	t := 0.0
@@ -201,15 +214,19 @@ func (l *mixLoad) schedule(rate float64, d time.Duration) []*arrival {
 		if due >= d {
 			return out
 		}
-		if l.rng.float() < serveFreshShare {
+		l.drawn++
+		if int(float64(l.drawn)*serveFreshShare) > int(float64(l.drawn-1)*serveFreshShare) {
 			idx := len(l.fresh)
-			l.fresh = append(l.fresh, genScenarioSpec(&l.rng, fmt.Sprintf("fresh-%d-%d", l.seed, idx), idx))
+			l.fresh = append(l.fresh, genScenarioSpec(&l.rng, fmt.Sprintf("fresh-%d-%d", l.seed, idx), idx, freshScale))
+			pair := new(sync.WaitGroup)
+			pair.Add(serveConns)
 			for c := 0; c < serveConns; c++ {
-				out = append(out, &arrival{due: due, fresh: idx})
+				out = append(out, &arrival{due: due, conn: c, fresh: idx, pair: pair})
 			}
 			continue
 		}
-		out = append(out, &arrival{due: due, spec: l.pool[l.zipf.draw(&l.rng)], fresh: -1})
+		spec := l.pool[l.zipf.draw(&l.rng)]
+		out = append(out, &arrival{due: due, conn: l.rng.intn(serveConns), spec: spec, fresh: -1})
 	}
 }
 
@@ -220,12 +237,14 @@ func (l *mixLoad) bodyOf(a *arrival) []byte {
 	return a.spec.body
 }
 
-// drive sends the arrivals over serveConns connections, each taking the
-// next arrival in due order, sleeping until its due time and waiting for
-// the answer: an open loop whose backlog shows as lateness.
-func (l *mixLoad) drive(base string, arrivals []*arrival, tr *tracer) time.Time {
-	start := time.Now().Add(2 * time.Millisecond)
-	var next atomic.Int64
+// drive sends the arrivals, each connection its own in due order: it
+// sleeps until an arrival's due time and waits for the answer, an open loop
+// whose backlog shows as lateness. The copies of a fresh spec wait for each
+// other and go out on every connection at once, so the server runs them
+// side by side. drive returns the phase start and the time the last answer
+// arrived.
+func (l *mixLoad) drive(base string, arrivals []*arrival, tr *tracer) (start, end time.Time) {
+	start = time.Now().Add(2 * time.Millisecond)
 	var wg sync.WaitGroup
 	for c := 0; c < serveConns; c++ {
 		wg.Add(1)
@@ -233,13 +252,15 @@ func (l *mixLoad) drive(base string, arrivals []*arrival, tr *tracer) time.Time 
 			defer wg.Done()
 			client := newClient()
 			defer client.CloseIdleConnections()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(arrivals) {
-					return
+			for i, a := range arrivals {
+				if a.conn != c {
+					continue
 				}
-				a := arrivals[i]
 				waitUntil(start.Add(a.due))
+				if a.pair != nil {
+					a.pair.Done()
+					a.pair.Wait()
+				}
 				sp := tr.begin("http.post_scenario", fmt.Sprintf("r%d", i), 0)
 				a.sent = time.Now()
 				a.status, a.tier, a.fp, a.body, a.err = post(client, base+"/v1/scenarios", l.bodyOf(a))
@@ -249,7 +270,12 @@ func (l *mixLoad) drive(base string, arrivals []*arrival, tr *tracer) time.Time 
 		}()
 	}
 	wg.Wait()
-	return start
+	for _, a := range arrivals {
+		if a.done.After(end) {
+			end = a.done
+		}
+	}
+	return start, end
 }
 
 // waitUntil returns at t. It sleeps in the kernel, whose timers are
@@ -399,23 +425,29 @@ func (st phaseStats) passes() bool {
 	return percentile(tail, 0.5) <= hitLimitMs/2
 }
 
-// serveMixServer spawns the wardserve child serveSpawns times (keeping the
-// last) and returns it with the spawn-to-ready samples.
-func serveMixServer(cfg runConfig, dir string, spawns int) (*server, []float64, error) {
-	var setups []float64
-	var srv *server
-	for i := 0; i < spawns; i++ {
-		if srv != nil {
-			srv.stop()
-		}
-		s, d, err := startServer(cfg.BinDir, "-store", filepath.Join(dir, "store"), "-cache", fmt.Sprint(serveCacheSize))
+// serveMixFlags are the served child's flags: a durable store in dir and
+// an in-memory cache smaller than the spec pool.
+func serveMixFlags(dir string) []string {
+	return []string{"-store", filepath.Join(dir, "store"), "-cache", fmt.Sprint(serveCacheSize)}
+}
+
+// phaseSetup starts setupSpawns more wardserve children with the given
+// flags, one after another, and stops each once ready. It returns the
+// fastest spawn-to-ready time, and all of them. The rest of the machine only
+// ever adds time, so the fastest of a few back-to-back spawns is the
+// set-up's own cost; setup_s is the median over the phases, whose set-ups
+// are spread over the run (while the served child idles) because the
+// machine's speed drifts over seconds.
+func phaseSetup(binDir string, flags []string) (best float64, all []float64, err error) {
+	for i := 0; i < setupSpawns; i++ {
+		s, d, err := startServer(binDir, flags...)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		srv = s
-		setups = append(setups, d.Seconds())
+		s.stop()
+		all = append(all, d.Seconds())
 	}
-	return srv, setups, nil
+	return slices.Min(all), all, nil
 }
 
 // warm posts every pool spec once, so timed repeats are cache or store hits.
@@ -444,8 +476,21 @@ func runServeMix(cfg runConfig, out *outcome) error {
 	if err != nil {
 		return err
 	}
-	srv, setups, err := serveMixServer(cfg, dir, serveSpawns)
+	srv, d, err := startServer(cfg.BinDir, serveMixFlags(dir)...)
 	if err != nil {
+		return err
+	}
+	// The served child's spawn, which creates the store, is kept as a raw
+	// sample only. The set-ups open a store of their own, so each starts
+	// on the same near-empty store whatever the served child wrote: opening
+	// a store counts its objects.
+	spawns := []float64{d.Seconds()}
+	var setups []float64
+	setupFlags := serveMixFlags(filepath.Join(dir, "setup"))
+	moreSetups := func() error {
+		best, all, err := phaseSetup(cfg.BinDir, setupFlags)
+		setups = append(setups, best)
+		spawns = append(spawns, all...)
 		return err
 	}
 	if err := load.warm(srv.URL); err != nil {
@@ -454,25 +499,36 @@ func runServeMix(cfg runConfig, out *outcome) error {
 	freshExp := map[int]*mixSpec{}
 
 	// The fixed-rate phase gives the latency metrics. It runs as
-	// fixedReps back-to-back repetitions; each percentile is the median of
-	// the repetitions' percentiles, so one stall of the machine moves it
-	// less than it would move a pooled percentile.
+	// fixedReps back-to-back repetitions; each percentile, and the server's
+	// CPU per request, is the median over the repetitions, so one stall of
+	// the machine moves it less than it would move a pooled figure.
 	fixed := time.Duration(cfg.Seconds * fixedShare / fixedReps * float64(time.Second))
 	var hitGroups, missGroups [][]float64
 	var lagMs []float64
+	var wallS float64 // phase start to last answer, summed over repetitions
+	var cpuUs []float64
 	completed, phases, requests := 0, 0, 0
 	var st phaseStats
-	cpu0, err := cpuSeconds(srv.Pid)
-	if err != nil {
-		return err
-	}
 	for rep := 0; rep < fixedReps; rep++ {
+		if err := moreSetups(); err != nil {
+			return err
+		}
+		cpu0, err := cpuSeconds(srv.Pid)
+		if err != nil {
+			return err
+		}
 		arr := load.schedule(serveRate, fixed)
-		start := load.drive(srv.URL, arr, nil)
+		start, end := load.drive(srv.URL, arr, nil)
+		wallS += end.Sub(start).Seconds()
 		st, err = load.verify(start, arr, freshExp)
 		if err != nil {
 			return err
 		}
+		cpu1, err := cpuSeconds(srv.Pid)
+		if err != nil {
+			return err
+		}
+		cpuUs = append(cpuUs, 1e6*(cpu1-cpu0)/float64(len(arr)))
 		out.count(int64(len(arr)), int64(st.failed))
 		hitGroups = append(hitGroups, st.hitMs)
 		missGroups = append(missGroups, st.missMs)
@@ -481,25 +537,23 @@ func runServeMix(cfg runConfig, out *outcome) error {
 		phases += st.phases
 		requests += len(arr)
 	}
-	fixedS := fixedReps * fixed.Seconds()
-	cpu1, err := cpuSeconds(srv.Pid)
-	if err != nil {
-		return err
-	}
 	rss, err := peakRSSMB(srv.Pid)
 	if err != nil {
 		return err
 	}
 
-	// The ladder is fixed: rates from three times the fixed rate up in
+	// The ladder is fixed: rates from 1.25 times the fixed rate up in
 	// steps of 2^(1/3), each rung measured for an equal share of the
 	// ladder's seconds, until two rungs in a row fail.
 	rung := time.Duration(cfg.Seconds * (1 - fixedShare) / ladderRungs * float64(time.Second))
 	rungs := []rungResult{{rate: serveRate, p99: st.windowP99(), ok: st.passes()}}
 	for k := 0; k < ladderRungs; k++ {
-		rate := 3 * serveRate * math.Pow(2, float64(k)/3)
+		if err := moreSetups(); err != nil {
+			return err
+		}
+		rate := 1.25 * serveRate * math.Pow(2, float64(k)/3)
 		arr := load.schedule(rate, rung)
-		start := load.drive(srv.URL, arr, nil)
+		start, _ := load.drive(srv.URL, arr, nil)
 		rs, err := load.verify(start, arr, freshExp)
 		if err != nil {
 			return err
@@ -516,12 +570,14 @@ func runServeMix(cfg runConfig, out *outcome) error {
 
 	out.set("setup_s", median(setups))
 	out.sample("setup_s", setups...)
+	out.sample("spawn_s", spawns...)
 	setLatencies(out, hitGroups, missGroups)
 	out.set("max_rate_rps", maxRate)
-	out.set("tasks_per_s", float64(completed)/fixedS)
-	out.set("phases_per_s", float64(phases)/fixedS)
+	out.set("tasks_per_s", float64(completed)/wallS)
+	out.set("phases_per_s", float64(phases)/wallS)
 	out.set("peak_rss_mb", rss)
-	out.set("cpu_us_per_op", 1e6*(cpu1-cpu0)/float64(requests))
+	out.set("cpu_us_per_op", median(cpuUs))
+	out.sample("cpu_us_per_op", cpuUs...)
 	out.sample("send_lag_ms", lagMs...)
 	out.Notes["send_lag_p99_ms"] = fmt.Sprintf("%.3f", percentile(lagMs, 0.99))
 	fmt.Fprintf(os.Stderr, "perfbench: serve-mix fixed %d/s: %d requests, send lag p50 %.3f ms p99 %.3f ms; max rate %.0f/s\n",
@@ -567,7 +623,7 @@ func traceServeMix(cfg runConfig, out *outcome) error {
 	if err != nil {
 		return err
 	}
-	srv, _, err := serveMixServer(cfg, dir, 1)
+	srv, _, err := startServer(cfg.BinDir, serveMixFlags(dir)...)
 	if err != nil {
 		return err
 	}
@@ -586,7 +642,7 @@ func traceServeMix(cfg runConfig, out *outcome) error {
 	}
 	d := time.Duration(cfg.Seconds / 2 * float64(time.Second))
 	arr := load.schedule(serveRate, d)
-	start := load.drive(srv.URL, arr, tr)
+	start, _ := load.drive(srv.URL, arr, tr)
 	cpu1, err := cpuSeconds(srv.Pid)
 	if err != nil {
 		return err
@@ -599,7 +655,6 @@ func traceServeMix(cfg runConfig, out *outcome) error {
 	if err != nil {
 		return err
 	}
-	out.count(int64(len(arr)), int64(st.failed))
 	delta := func(k string) float64 { return after[k] - before[k] }
 	histMean := func(name string) float64 {
 		n := delta(name + "_count")

@@ -10,13 +10,12 @@ import (
 	"wardrop"
 )
 
-// The golden tests below pin the unified Run API against the deprecated
-// entry points (Simulate, SimulateFresh, SimulateBestResponse, NewAgentSim)
-// on Pigou, Braess and TwoLinkKink: Final, FinalPotential, Phases,
-// UnsatisfiedPhases, Elapsed and the recorded trajectory must be identical,
-// and both must reproduce the literal values captured from the
-// pre-redesign implementation (so the refactor is provably byte-identical,
-// not merely self-consistent).
+// The golden tests below pin the unified Run API on Pigou, Braess and
+// TwoLinkKink to literal values captured from the seed implementation's
+// Simulate, SimulateFresh, SimulateBestResponse and NewAgentSim entry points
+// (since deleted): Final, FinalPotential, Phases, UnsatisfiedPhases and the
+// recorded trajectory length must reproduce them exactly, so every engine
+// behind Run stays byte-identical to the pre-redesign numbers.
 
 type goldenCase struct {
 	// final is each Final component formatted %.17g (float64 round-trip).
@@ -27,7 +26,7 @@ type goldenCase struct {
 	phases, unsat, traj int
 }
 
-// Captured from the seed implementation (legacy entry points) before the
+// Captured from the seed implementation's entry points before the
 // Run/Scenario/Engine redesign.
 var goldens = map[string]goldenCase{
 	"pigou/stale-uniformization": {
@@ -124,38 +123,41 @@ func goldenTopologies(t *testing.T) map[string]*wardrop.Instance {
 	return out
 }
 
-// checkIdentical requires the two results to be deeply equal (bit-identical
-// floats, identical trajectories) and to match the pinned seed values.
-func checkIdentical(t *testing.T, key string, legacy, unified *wardrop.SimResult) {
+// runGolden runs the scenario through Run and requires the result to match
+// the pinned seed values for key.
+func runGolden(t *testing.T, key string, sc wardrop.Scenario) {
 	t.Helper()
-	if !reflect.DeepEqual(legacy, unified) {
-		t.Fatalf("%s: Run result differs from legacy:\nlegacy  %+v\nunified %+v", key, legacy, unified)
+	res, err := wardrop.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
 	}
 	want, ok := goldens[key]
 	if !ok {
 		t.Fatalf("%s: no golden case", key)
 	}
-	if len(legacy.Final) != len(want.final) {
-		t.Fatalf("%s: Final has %d components, want %d", key, len(legacy.Final), len(want.final))
+	if len(res.Final) != len(want.final) {
+		t.Fatalf("%s: Final has %d components, want %d", key, len(res.Final), len(want.final))
 	}
 	for i, w := range want.final {
-		if got := fmt.Sprintf("%.17g", legacy.Final[i]); got != w {
+		if got := fmt.Sprintf("%.17g", res.Final[i]); got != w {
 			t.Errorf("%s: Final[%d] = %s, want %s", key, i, got, w)
 		}
 	}
-	if got := fmt.Sprintf("%.17g", legacy.FinalPotential); got != want.phi {
+	if got := fmt.Sprintf("%.17g", res.FinalPotential); got != want.phi {
 		t.Errorf("%s: FinalPotential = %s, want %s", key, got, want.phi)
 	}
-	if legacy.Phases != want.phases {
-		t.Errorf("%s: Phases = %d, want %d", key, legacy.Phases, want.phases)
+	if res.Phases != want.phases {
+		t.Errorf("%s: Phases = %d, want %d", key, res.Phases, want.phases)
 	}
-	if legacy.UnsatisfiedPhases != want.unsat {
-		t.Errorf("%s: UnsatisfiedPhases = %d, want %d", key, legacy.UnsatisfiedPhases, want.unsat)
+	if res.UnsatisfiedPhases != want.unsat {
+		t.Errorf("%s: UnsatisfiedPhases = %d, want %d", key, res.UnsatisfiedPhases, want.unsat)
 	}
-	if len(legacy.Trajectory) != want.traj {
-		t.Errorf("%s: len(Trajectory) = %d, want %d", key, len(legacy.Trajectory), want.traj)
+	if len(res.Trajectory) != want.traj {
+		t.Errorf("%s: len(Trajectory) = %d, want %d", key, len(res.Trajectory), want.traj)
 	}
 }
+
+// The test names record the entry point each literal was captured from.
 
 func TestGoldenRunMatchesSimulate(t *testing.T) {
 	for name, inst := range goldenTopologies(t) {
@@ -163,15 +165,7 @@ func TestGoldenRunMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := wardrop.Simulate(inst, wardrop.SimConfig{
-			Policy: pol, UpdatePeriod: 0.1, Horizon: 5,
-			Integrator: wardrop.Uniformization, RecordEvery: 2,
-			Delta: 0.1, Eps: 0.05,
-		}, inst.UniformFlow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		runGolden(t, name+"/stale-uniformization", wardrop.Scenario{
 			Engine:       wardrop.FluidEngine{Integrator: wardrop.Uniformization},
 			Instance:     inst,
 			Policy:       pol,
@@ -181,33 +175,18 @@ func TestGoldenRunMatchesSimulate(t *testing.T) {
 			Delta:        0.1,
 			Eps:          0.05,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, name+"/stale-uniformization", legacy, unified)
 
 		ul, err := wardrop.UniformLinear(inst.LMax())
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err = wardrop.Simulate(inst, wardrop.SimConfig{
-			Policy: ul, UpdatePeriod: 0.25, Horizon: 4,
-			Integrator: wardrop.RK4, Step: 1.0 / 32,
-		}, inst.UniformFlow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err = wardrop.Run(context.Background(), wardrop.Scenario{
+		runGolden(t, name+"/stale-rk4", wardrop.Scenario{
 			Engine:       wardrop.FluidEngine{Integrator: wardrop.RK4, Step: 1.0 / 32},
 			Instance:     inst,
 			Policy:       ul,
 			UpdatePeriod: 0.25,
 			Horizon:      4,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, name+"/stale-rk4", legacy, unified)
 	}
 }
 
@@ -217,34 +196,18 @@ func TestGoldenRunMatchesSimulateFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := wardrop.SimulateFresh(inst, wardrop.SimConfig{
-			Policy: ul, Horizon: 2, Step: 1.0 / 64,
-		}, inst.UniformFlow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		runGolden(t, name+"/fresh", wardrop.Scenario{
 			Engine:   wardrop.FluidEngine{Fresh: true, Step: 1.0 / 64},
 			Instance: inst,
 			Policy:   ul,
 			Horizon:  2,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, name+"/fresh", legacy, unified)
 	}
 }
 
 func TestGoldenRunMatchesSimulateBestResponse(t *testing.T) {
 	for name, inst := range goldenTopologies(t) {
-		legacy, err := wardrop.SimulateBestResponse(inst, wardrop.BestResponseConfig{
-			UpdatePeriod: 0.25, Horizon: 3, RecordEvery: 1, Delta: 0.1, Eps: 0.05,
-		}, inst.UniformFlow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		runGolden(t, name+"/bestresponse", wardrop.Scenario{
 			Engine:       wardrop.BestResponseEngine{},
 			Instance:     inst,
 			UpdatePeriod: 0.25,
@@ -253,10 +216,6 @@ func TestGoldenRunMatchesSimulateBestResponse(t *testing.T) {
 			Delta:        0.1,
 			Eps:          0.05,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, name+"/bestresponse", legacy, unified)
 	}
 }
 
@@ -266,18 +225,7 @@ func TestGoldenRunMatchesAgentSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-			N: 300, Policy: pol, UpdatePeriod: 0.25, Horizon: 3,
-			Seed: 42, Workers: 2, RecordEvery: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		runGolden(t, name+"/agents", wardrop.Scenario{
 			Engine:       wardrop.AgentsEngine{N: 300, Seed: 42, Workers: 2},
 			Instance:     inst,
 			Policy:       pol,
@@ -285,10 +233,6 @@ func TestGoldenRunMatchesAgentSim(t *testing.T) {
 			Horizon:      3,
 			RecordEvery:  3,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, name+"/agents", legacy, unified)
 	}
 }
 
@@ -399,8 +343,9 @@ func TestMidRunCancellationDeterminism(t *testing.T) {
 }
 
 // TestConfigValidationHardening pins the rejection of the previously
-// silently-accepted shapes: negative RecordEvery, negative Eps with
-// accounting enabled, negative satisfied streak.
+// silently-accepted shapes on every engine behind Run: negative
+// RecordEvery, negative Eps with accounting enabled, negative satisfied
+// streak.
 func TestConfigValidationHardening(t *testing.T) {
 	inst, err := wardrop.Pigou()
 	if err != nil {
@@ -410,39 +355,23 @@ func TestConfigValidationHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0 := inst.UniformFlow()
-
-	bads := []wardrop.SimConfig{
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
+	bads := []wardrop.Scenario{
+		{Instance: inst, Policy: pol, UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
+		{Instance: inst, Policy: pol, UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
+		{Instance: inst, Policy: pol, UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
 	}
-	for _, cfg := range bads {
-		if _, err := wardrop.Simulate(inst, cfg, f0); err == nil {
-			t.Errorf("Simulate accepted bad config %+v", cfg)
-		}
-		if _, err := wardrop.SimulateFresh(inst, cfg, f0); err == nil {
-			t.Errorf("SimulateFresh accepted bad config %+v", cfg)
-		}
+	engines := []wardrop.Engine{
+		wardrop.FluidEngine{},
+		wardrop.FluidEngine{Fresh: true},
+		wardrop.BestResponseEngine{},
+		wardrop.AgentsEngine{N: 10},
 	}
-	brBads := []wardrop.BestResponseConfig{
-		{UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
-	}
-	for _, cfg := range brBads {
-		if _, err := wardrop.SimulateBestResponse(inst, cfg, f0); err == nil {
-			t.Errorf("SimulateBestResponse accepted bad config %+v", cfg)
-		}
-	}
-	agBads := []wardrop.AgentConfig{
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
-	}
-	for _, cfg := range agBads {
-		if _, err := wardrop.NewAgentSim(inst, cfg); err == nil {
-			t.Errorf("NewAgentSim accepted bad config %+v", cfg)
+	for _, eng := range engines {
+		for _, sc := range bads {
+			sc.Engine = eng
+			if _, err := wardrop.Run(context.Background(), sc); err == nil {
+				t.Errorf("%s accepted bad scenario %+v", eng.Name(), sc)
+			}
 		}
 	}
 }

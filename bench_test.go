@@ -6,6 +6,7 @@
 package wardrop_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -220,9 +221,11 @@ func BenchmarkAblationPhaseExact(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			f0 := inst.SinglePathFlow(0)
 			for i := 0; i < b.N; i++ {
-				if _, err := wardrop.Simulate(inst, wardrop.SimConfig{
-					Policy: pol, UpdatePeriod: T, Horizon: 100 * T, Integrator: tc.integ,
-				}, f0); err != nil {
+				if _, err := wardrop.Run(context.Background(), wardrop.Scenario{
+					Engine:   wardrop.FluidEngine{Integrator: tc.integ},
+					Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 100 * T,
+					InitialFlow: f0,
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -245,14 +248,10 @@ func BenchmarkAblationAgentWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-					N: 20000, Policy: pol, UpdatePeriod: 0.25, Horizon: 5,
-					Seed: 1, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.Run(); err != nil {
+				if _, err := wardrop.Run(context.Background(), wardrop.Scenario{
+					Engine:   wardrop.AgentsEngine{N: 20000, Seed: 1, Workers: workers},
+					Instance: inst, Policy: pol, UpdatePeriod: 0.25, Horizon: 5,
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,9 +293,11 @@ func BenchmarkFluidPhase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wardrop.Simulate(inst, wardrop.SimConfig{
-			Policy: pol, UpdatePeriod: T, Horizon: 10 * T, Integrator: wardrop.Uniformization,
-		}, f0); err != nil {
+		if _, err := wardrop.Run(context.Background(), wardrop.Scenario{
+			Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+			Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 10 * T,
+			InitialFlow: f0,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

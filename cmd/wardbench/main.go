@@ -82,21 +82,23 @@ func run(args []string) error {
 		"ablation": func() (*report.Table, error) {
 			return experiments.RunAblationStep(experiments.DefaultAblationStepParams())
 		},
-		// e6s/e7s/e8s run the scaling experiments on the parallel sweep
-		// engine; same verdicts as e6/e7/e8, wall time divided by the pool.
-		"e6s": func() (*report.Table, error) { return experiments.RunE6Sweep(experiments.DefaultE6Params()) },
-		"e7s": func() (*report.Table, error) { return experiments.RunE7Sweep(experiments.DefaultE7Params()) },
-		"e8s": func() (*report.Table, error) { return experiments.RunE8Sweep(experiments.DefaultE8Params()) },
-		// e6c/e7c/e8c run them on the mean-field count engine at a four-
-		// million-agent population: same verdicts, finite-N dynamics.
+		// e6c/e7c/e8c run the scaling experiments on the mean-field count
+		// engine at a four-million-agent population: same verdicts,
+		// finite-N dynamics.
 		"e6c": func() (*report.Table, error) {
-			return experiments.RunE6Count(experiments.DefaultE6Params(), experiments.CountPopulation)
+			p := experiments.DefaultE6Params()
+			p.Population = experiments.CountPopulation
+			return experiments.RunE6(p)
 		},
 		"e7c": func() (*report.Table, error) {
-			return experiments.RunE7Count(experiments.DefaultE7Params(), experiments.CountPopulation)
+			p := experiments.DefaultE7Params()
+			p.Population = experiments.CountPopulation
+			return experiments.RunE7(p)
 		},
 		"e8c": func() (*report.Table, error) {
-			return experiments.RunE8Count(experiments.DefaultE8Params(), experiments.CountPopulation)
+			p := experiments.DefaultE8Params()
+			p.Population = experiments.CountPopulation
+			return experiments.RunE8(p)
 		},
 	}
 	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablation"}
@@ -108,7 +110,7 @@ func run(args []string) error {
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.TrimSpace(strings.ToLower(id))
 			if _, ok := runners[id]; !ok {
-				return fmt.Errorf("unknown experiment %q (known: %s, e6s, e7s, e8s, e6c, e7c, e8c, all)", id, strings.Join(order, ", "))
+				return fmt.Errorf("unknown experiment %q (known: %s, e6c, e7c, e8c, all)", id, strings.Join(order, ", "))
 			}
 			ids = append(ids, id)
 		}

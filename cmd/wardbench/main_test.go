@@ -93,7 +93,7 @@ func TestHeadlineCoversEveryExperiment(t *testing.T) {
 		{"1", "1", "1", "1", "1", "1"},
 		{"2", "2", "2", "2", "2", "2"},
 	}}
-	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablation", "e6s", "e7s", "e8s", "e6c", "e7c", "e8c"} {
+	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablation", "e6c", "e7c", "e8c"} {
 		if name, _, ok := headline(id, tbl); !ok || name == "" {
 			t.Errorf("experiment %s has no headline metric", id)
 		}

@@ -49,6 +49,17 @@ import (
 	"wardrop/internal/obs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a client that never finishes them cannot hold a connection
+// forever. Idle keep-alive connections stay untimed: the header clock only
+// starts once the next request's first bytes arrive.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the HTTP server run serves the handler on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // newLogger builds the process logger; see obs.NewLogger for the shared
 // conventions.
 func newLogger(w io.Writer, verbose, json bool) *slog.Logger {
@@ -128,7 +139,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		go func() { _ = http.Serve(pln, nil) }()
 	}
 
-	hs := &http.Server{Handler: wardrop.ServerAccessLog(logger, srv)}
+	hs := newHTTPServer(wardrop.ServerAccessLog(logger, srv))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

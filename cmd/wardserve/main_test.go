@@ -170,3 +170,17 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list output lacks the catalog:\n%s", out.String())
 	}
 }
+
+// TestHTTPServerBoundsHeaderReads pins the slow-client guard on the server
+// run builds: unfinished request headers time out, while idle keep-alive
+// connections (governed by IdleTimeout, else ReadTimeout) stay untimed.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("IdleTimeout = %v, ReadTimeout = %v; idle keep-alive connections must stay untimed",
+			hs.IdleTimeout, hs.ReadTimeout)
+	}
+}

@@ -17,7 +17,7 @@ type HedgeConfig = dynamics.HedgeConfig
 // SimulateHedge runs the Hedge baseline from the paper's related work: one
 // synchronous multiplicative update per bulletin-board refresh. Small Eta
 // converges; large Eta·β·T oscillates like best response.
-func SimulateHedge(inst *Instance, cfg HedgeConfig, f0 Flow) (*SimResult, error) {
+func SimulateHedge(inst *Instance, cfg HedgeConfig, f0 Flow) (*Result, error) {
 	return dynamics.RunHedge(context.Background(), inst, cfg, f0)
 }
 

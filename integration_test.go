@@ -1,6 +1,7 @@
 package wardrop_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -43,10 +44,10 @@ func TestDynamicsLimitMatchesSolver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := wardrop.Simulate(inst, wardrop.SimConfig{
-				Policy: pol, UpdatePeriod: T, Horizon: 2500 * T,
-				Integrator: wardrop.Uniformization,
-			}, inst.UniformFlow())
+			res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+				Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+				Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 2500 * T,
+			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, pol.Name(), err)
 			}
@@ -83,17 +84,17 @@ func TestPotentialDescentFromRandomStarts(t *testing.T) {
 		f0 := wardrop.Flow{x / s, y / s, z / s}
 		monotone := true
 		prev := math.Inf(1)
-		_, err := wardrop.Simulate(inst, wardrop.SimConfig{
-			Policy: pol, UpdatePeriod: T, Horizon: 40 * T,
-			Integrator: wardrop.Uniformization,
-			Hook: func(info wardrop.PhaseInfo) bool {
-				if info.Potential > prev+1e-9 {
-					monotone = false
-				}
-				prev = info.Potential
-				return false
-			},
-		}, f0)
+		_, err := wardrop.Run(context.Background(), wardrop.Scenario{
+			Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+			Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 40 * T,
+			InitialFlow: f0,
+		}, wardrop.WithObserver(wardrop.ObserverFunc(func(info wardrop.PhaseInfo) bool {
+			if info.Potential > prev+1e-9 {
+				monotone = false
+			}
+			prev = info.Potential
+			return false
+		})))
 		return err == nil && monotone
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -116,32 +117,19 @@ func TestThreeEnginesAgreeMultiCommodity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fluid, err := wardrop.Simulate(inst, wardrop.SimConfig{
-		Policy: pol, UpdatePeriod: T, Horizon: 400, Integrator: wardrop.Uniformization,
-	}, inst.UniformFlow())
-	if err != nil {
-		t.Fatal(err)
+	run := func(eng wardrop.Engine) *wardrop.Result {
+		t.Helper()
+		res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+			Engine: eng, Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 400,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-		N: 4000, Policy: pol, UpdatePeriod: T, Horizon: 400, Seed: 1, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-		N: 4000, Policy: pol, UpdatePeriod: T, Horizon: 400, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	event, err := sim2.RunEventDriven()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fluid := run(wardrop.FluidEngine{Integrator: wardrop.Uniformization})
+	batched := run(wardrop.AgentsEngine{N: 4000, Seed: 1, Workers: 4})
+	event := run(wardrop.AgentsEngine{N: 4000, Seed: 2, EventDriven: true})
 	if d := batched.Final.MaxAbsDiff(fluid.Final); d > 0.05 {
 		t.Errorf("batched engine vs fluid: sup err %g", d)
 	}
@@ -183,9 +171,10 @@ func TestKShortestPipelineOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wardrop.Simulate(restricted, wardrop.SimConfig{
-		Policy: pol, UpdatePeriod: T, Horizon: 1500 * T, Integrator: wardrop.Uniformization,
-	}, restricted.UniformFlow())
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+		Instance: restricted, Policy: pol, UpdatePeriod: T, Horizon: 1500 * T,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +210,10 @@ func TestSpecToSolverToDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wardrop.Simulate(inst, wardrop.SimConfig{
-		Policy: pol, UpdatePeriod: T, Horizon: 3000 * T, Integrator: wardrop.Uniformization,
-	}, inst.UniformFlow())
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+		Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 3000 * T,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestRunConvergesOnPigou(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDeterminismForFixedSeedAndWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestFluidLimitAgreementImprovesWithN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.Run()
+			res, err := s.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,15 +184,15 @@ func TestHookAndTrajectory(t *testing.T) {
 	s, err := New(inst, Config{
 		N: 100, Policy: pol, UpdatePeriod: 0.5, Horizon: 100, Seed: 1,
 		RecordEvery: 1,
-		Hook: func(info dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			calls++
 			return info.Index >= 9
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestHookAndTrajectory(t *testing.T) {
 		t.Errorf("stopped=%v phases=%d, want stop at phase 9", res.Stopped, res.Phases)
 	}
 	if calls != 10 {
-		t.Errorf("hook calls = %d, want 10", calls)
+		t.Errorf("observer calls = %d, want 10", calls)
 	}
 	if len(res.Trajectory) != 10 {
 		t.Errorf("trajectory = %d samples, want 10", len(res.Trajectory))
@@ -246,18 +246,18 @@ func TestConservationUnderConcurrency(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	s, err := New(inst, Config{
 		N: 999, Policy: pol, UpdatePeriod: 0.1, Horizon: 20, Seed: 3, Workers: 8,
-		Hook: func(info dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
 				t.Errorf("phase %d: %v", info.Index, err)
 				return true
 			}
 			return false
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,10 +318,10 @@ func TestRunContextCancellationWithinGiantPhase(t *testing.T) {
 		// Enough agents that the shard passes several ctx checkpoints.
 		N: 4 * ctxCheckEvents, Policy: pol, UpdatePeriod: 10, Horizon: 10,
 		Seed: 5, Workers: 1,
-		Hook: func(dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(dynamics.PhaseInfo) bool {
 			cancel() // fires at the phase-0 start, before the shards run
 			return false
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

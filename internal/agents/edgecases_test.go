@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestSingleAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +68,15 @@ func TestFiniteAgentsBestResponseOscillation(t *testing.T) {
 	s, err := New(inst, Config{
 		N: 4000, Policy: pol, UpdatePeriod: 1.0, Horizon: 30, Seed: 4, Workers: 2,
 		InitialFlow: flow.Vector{0.9, 0.1},
-		Hook: func(info dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			f1s = append(f1s, info.Flow[0])
 			return false
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	flips := 0
@@ -104,7 +105,7 @@ func TestAgentsFrozenOnConstantLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.EmpiricalFlow()
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestShardCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func BenchmarkAgentPhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

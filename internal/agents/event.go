@@ -10,34 +10,29 @@ import (
 	"wardrop/internal/policy"
 )
 
-// RunEventDriven simulates the same finite-N bulletin-board system as Run,
-// but with an exact global event clock instead of per-phase Poisson
-// batching: the superposition of the N agents' rate-1 Poisson clocks is a
-// rate-N Poisson process, so the engine draws Exp(N) inter-activation gaps
-// and activates a uniformly random agent at each event, refreshing the board
-// whenever the clock crosses a multiple of T.
-//
-// Both engines sample the same process law (within a phase the board is
-// frozen, so the batched engine's per-agent Poisson counts are exactly the
-// thinned global process); this engine is the single-threaded reference for
-// the clock ablation and for workloads where activation-order detail
-// matters. It honours Config.Seed/Hook/Observer/RecordEvery and the (δ,ε)
-// accounting fields; Workers is ignored.
-//
-// Deprecated: use RunEventDrivenContext, which adds cancellation.
-func (s *Sim) RunEventDriven() (*dynamics.Result, error) {
-	return s.RunEventDrivenContext(context.Background())
-}
-
 // ctxCheckEvents is how many activation events the event-driven engine
 // processes between context checks — often enough that cancellation is
 // prompt even when a whole run fits inside one board phase, rarely enough
 // that the check cost vanishes against the per-event RNG work.
 const ctxCheckEvents = 1024
 
-// RunEventDrivenContext is RunEventDriven with cancellation: ctx is checked
-// at every board refresh and every ctxCheckEvents activation events, and
-// when it is done the partial result is returned together with ctx.Err().
+// RunEventDrivenContext simulates the same finite-N bulletin-board system
+// as RunContext, but with an exact global event clock instead of per-phase
+// Poisson batching: the superposition of the N agents' rate-1 Poisson clocks
+// is a rate-N Poisson process, so the engine draws Exp(N) inter-activation
+// gaps and activates a uniformly random agent at each event, refreshing the
+// board whenever the clock crosses a multiple of T.
+//
+// Both engines sample the same process law (within a phase the board is
+// frozen, so the batched engine's per-agent Poisson counts are exactly the
+// thinned global process); this engine is the single-threaded reference for
+// the clock ablation and for workloads where activation-order detail
+// matters. It honours Config.Seed/Observer/RecordEvery and the (δ,ε)
+// accounting fields; Workers is ignored.
+//
+// ctx is checked at every board refresh and every ctxCheckEvents activation
+// events, and when it is done the partial result is returned together with
+// ctx.Err().
 func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, error) {
 	b, err := board.New(s.cfg.UpdatePeriod)
 	if err != nil {

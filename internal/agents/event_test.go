@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestEventDrivenConvergesOnPigou(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunEventDriven()
+	res, err := s.RunEventDrivenContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestEventDrivenDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.RunEventDriven()
+		res, err := s.RunEventDrivenContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,23 +56,23 @@ func TestEventDrivenHookAndPhases(t *testing.T) {
 	calls := 0
 	s, err := New(inst, Config{
 		N: 100, Policy: pol, UpdatePeriod: 0.5, Horizon: 100, Seed: 1,
-		Hook: func(info dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			calls++
 			return info.Index >= 6
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunEventDriven()
+	res, err := s.RunEventDrivenContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stopped {
-		t.Error("hook stop ignored")
+		t.Error("observer stop ignored")
 	}
 	if calls != 7 { // phases 0..6
-		t.Errorf("hook calls = %d, want 7", calls)
+		t.Errorf("observer calls = %d, want 7", calls)
 	}
 }
 
@@ -95,9 +96,9 @@ func TestEngineEquivalenceInDistribution(t *testing.T) {
 			}
 			var res *dynamics.Result
 			if event {
-				res, err = s.RunEventDriven()
+				res, err = s.RunEventDrivenContext(context.Background())
 			} else {
-				res, err = s.Run()
+				res, err = s.RunContext(context.Background())
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -120,18 +121,18 @@ func TestEventDrivenBraessFeasibilityThroughout(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	s, err := New(inst, Config{
 		N: 500, Policy: pol, UpdatePeriod: 0.2, Horizon: 15, Seed: 9,
-		Hook: func(info dynamics.PhaseInfo) bool {
+		Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
 				t.Errorf("phase %d: %v", info.Index, err)
 				return true
 			}
 			return false
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunEventDriven(); err != nil {
+	if _, err := s.RunEventDrivenContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

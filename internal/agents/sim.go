@@ -49,13 +49,8 @@ type Config struct {
 	Workers int
 	// RecordEvery records a sample every k phases (0 disables).
 	RecordEvery int
-	// Hook observes phase starts (with the empirical flow); returning true
-	// stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook dynamics.Hook
-	// Observer observes phase starts; compose several with
-	// dynamics.MultiObserver.
+	// Observer observes phase starts (with the empirical flow); returning
+	// true stops the run. Compose several with dynamics.MultiObserver.
 	Observer dynamics.Observer
 	// InitialFlow, if non-nil, distributes each commodity's agents over its
 	// paths proportionally to this (feasible) flow vector instead of the
@@ -80,7 +75,7 @@ type Config struct {
 }
 
 // Sim is a configured simulation bound to an instance. Create with New, run
-// with Run.
+// with RunContext or RunEventDrivenContext.
 type Sim struct {
 	inst *flow.Instance
 	cfg  Config
@@ -223,13 +218,6 @@ func (s *Sim) empiricalInto(f flow.Vector) {
 	}
 }
 
-// Run simulates until the horizon (or a hook stop) and returns the result.
-//
-// Deprecated: use RunContext, which adds cancellation.
-func (s *Sim) Run() (*dynamics.Result, error) {
-	return s.RunContext(context.Background())
-}
-
 // newAcct builds the shared (δ,ε) round accounting from the config.
 func newAcct(cfg Config) dynamics.RoundAccounting {
 	return dynamics.NewRoundAccounting(cfg.Delta, cfg.Eps, cfg.Weak, cfg.StopAfterSatisfiedStreak)
@@ -365,10 +353,9 @@ func (s *Sim) RunContext(ctx context.Context) (*dynamics.Result, error) {
 	return finish(t), nil
 }
 
-// observePhase delivers a phase start to the configured hook and observer
-// under the shared composition rule.
+// observePhase delivers a phase start to the configured observer, if any.
 func (s *Sim) observePhase(info dynamics.PhaseInfo) bool {
-	return dynamics.DeliverPhase(s.cfg.Hook, s.cfg.Observer, info)
+	return s.cfg.Observer != nil && s.cfg.Observer.ObservePhase(info)
 }
 
 // syncEvaluator diffs curF against prevF, applies the (incremental when

@@ -2,6 +2,9 @@ package dispatch
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -61,12 +64,27 @@ func TestRunPopulatesMetrics(t *testing.T) {
 }
 
 // TestNodeDeathMovesCounters kills one of three workers mid-campaign and
-// expects the death and re-home counters to move with the failover.
+// expects the death counter to move with the failover.
 func TestNodeDeathMovesCounters(t *testing.T) {
-	// Nine seeds: enough work that the killed node is still busy when the
-	// connections drop, so the death is observed rather than raced past.
 	camp := parseCampaign(t, strings.Replace(campaignDoc, `"seeds": 3`, `"seeds": 9`, 1))
-	_, https, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	// The doomed worker holds every request it receives until it is
+	// killed, then drops the connection without answering, so it is certain
+	// to be mid-request when it dies: a worker fast enough to drain its share
+	// first would let the death be raced past unobserved.
+	arrived, killed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	doomed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		once.Do(func() { close(arrived) })
+		select {
+		case <-killed:
+		case <-r.Context().Done():
+		}
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(doomed.Close)
+	_, _, survivors := startWorkers(t, 2, serve.Config{Workers: 2})
+	urls := append([]string{doomed.URL}, survivors...)
 
 	reg := obs.NewRegistry()
 	var kill sync.Once
@@ -76,8 +94,10 @@ func TestNodeDeathMovesCounters(t *testing.T) {
 			if done == 3 {
 				kill.Do(func() {
 					go func() {
-						https[0].CloseClientConnections()
-						https[0].Close()
+						<-arrived
+						close(killed)
+						doomed.CloseClientConnections()
+						doomed.Close()
 					}()
 				})
 			}

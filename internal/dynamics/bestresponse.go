@@ -16,10 +16,6 @@ type BestResponseConfig struct {
 	Horizon float64
 	// RecordEvery records a sample every k phases (0 disables).
 	RecordEvery int
-	// Hook observes phase starts; returning true stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
 	// Observer observes phase starts; compose several with MultiObserver.
 	Observer Observer
 	// Delta/Eps enable (δ,ε)-equilibrium accounting as in Config.
@@ -83,7 +79,7 @@ func RunBestResponse(ctx context.Context, inst *flow.Instance, cfg BestResponseC
 		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
 			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
 		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
+		if stop := cfg.Observer != nil && cfg.Observer.ObservePhase(info); stop || streakStop {
 			res.Stopped = true
 			break
 		}

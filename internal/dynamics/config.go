@@ -82,12 +82,6 @@ type Config struct {
 	// trajectory recording; endpoints are always in the Result).
 	RecordEvery int
 
-	// Hook, if non-nil, observes every phase start and may stop the run by
-	// returning true.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
-
 	// Observer, if non-nil, observes every phase start; see Observer. Compose
 	// several with MultiObserver.
 	Observer Observer
@@ -99,14 +93,9 @@ type Config struct {
 	Workspace *flow.Workspace
 }
 
-// Hook observes a phase start. Returning true stops the simulation.
-//
-// Deprecated: implement Observer (or wrap the function in ObserverFunc).
-type Hook func(PhaseInfo) bool
-
 // PhaseInfo describes the state at a phase start (a bulletin-board update
 // instant). The slices are views into simulator buffers, valid only during
-// the hook call; copy them to retain.
+// the observer call; copy them to retain.
 type PhaseInfo struct {
 	// Index is the phase number, starting at 0.
 	Index int
@@ -146,8 +135,8 @@ type Result struct {
 	// UnsatisfiedPhases counts phases that did not start at the configured
 	// (δ,ε)-equilibrium — the quantity bounded by Theorems 6 and 7.
 	UnsatisfiedPhases int
-	// Stopped reports whether a hook or satisfied-streak stop fired before
-	// the horizon.
+	// Stopped reports whether an observer or satisfied-streak stop fired
+	// before the horizon.
 	Stopped bool
 	// Trajectory holds recorded samples (nil unless RecordEvery > 0).
 	Trajectory []Sample

@@ -97,13 +97,13 @@ func TestFreshReplicatorConvergesOnPigou(t *testing.T) {
 		Policy:  pol,
 		Horizon: 120,
 		Step:    1.0 / 64,
-		Hook: func(info PhaseInfo) bool {
+		Observer: ObserverFunc(func(info PhaseInfo) bool {
 			if info.Potential > prevPhi+1e-9 {
 				monotone = false
 			}
 			prevPhi = info.Potential
 			return false
-		},
+		}),
 	}
 	res, err := RunFresh(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -161,7 +161,7 @@ func TestLemma3And4AccountingOnBraess(t *testing.T) {
 		UpdatePeriod: safeT,
 		Horizon:      60 * safeT,
 		Integrator:   Uniformization,
-		Hook:         acct.Hook(),
+		Observer:     acct,
 	}
 	if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
 		t.Fatal(err)
@@ -197,12 +197,12 @@ func TestBestResponseOscillatesOnKink(t *testing.T) {
 	cfg := BestResponseConfig{
 		UpdatePeriod: period,
 		Horizon:      20 * period,
-		Hook: func(info PhaseInfo) bool {
+		Observer: ObserverFunc(func(info PhaseInfo) bool {
 			flows = append(flows, info.Flow[0])
 			m := math.Max(info.PathLatencies[0], info.PathLatencies[1])
 			maxLats = append(maxLats, m)
 			return false
-		},
+		}),
 	}
 	res, err := RunBestResponse(context.Background(), inst, cfg, f0)
 	if err != nil {
@@ -380,7 +380,7 @@ func TestHookStopsRun(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	cfg := Config{
 		Policy: pol, UpdatePeriod: 0.25, Horizon: 100,
-		Hook: func(info PhaseInfo) bool { return info.Index >= 5 },
+		Observer: ObserverFunc(func(info PhaseInfo) bool { return info.Index >= 5 }),
 	}
 	res, err := Run(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -400,13 +400,13 @@ func TestFeasibilityPreserved(t *testing.T) {
 		for _, integ := range []Integrator{Euler, RK4, Uniformization} {
 			cfg := Config{
 				Policy: pol, UpdatePeriod: 0.05, Horizon: 10, Integrator: integ,
-				Hook: func(info PhaseInfo) bool {
+				Observer: ObserverFunc(func(info PhaseInfo) bool {
 					if err := inst.Feasible(info.Flow, 1e-6); err != nil {
 						t.Errorf("%s/%v at t=%g: %v", pol.Name(), integ, info.Time, err)
 						return true
 					}
 					return false
-				},
+				}),
 			}
 			if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
 				t.Fatalf("%s/%v: %v", pol.Name(), integ, err)

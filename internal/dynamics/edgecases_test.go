@@ -158,14 +158,14 @@ func TestBestResponseConvergesOnPigou(t *testing.T) {
 	}
 }
 
-// Hook receives strictly increasing phase times and consistent potentials.
+// The observer receives strictly increasing phase times and consistent potentials.
 func TestPhaseInfoConsistency(t *testing.T) {
 	inst := mustBraess(t)
 	pol := mustReplicator(t, inst.LMax())
 	prevTime := -1.0
 	cfg := Config{
 		Policy: pol, UpdatePeriod: 0.2, Horizon: 10,
-		Hook: func(info PhaseInfo) bool {
+		Observer: ObserverFunc(func(info PhaseInfo) bool {
 			if info.Time <= prevTime {
 				t.Errorf("phase %d time %g <= previous %g", info.Index, info.Time, prevTime)
 			}
@@ -174,7 +174,7 @@ func TestPhaseInfoConsistency(t *testing.T) {
 				t.Errorf("phase %d: potential mismatch %g vs %g", info.Index, got, info.Potential)
 			}
 			return false
-		},
+		}),
 	}
 	if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
 		t.Fatal(err)

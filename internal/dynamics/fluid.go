@@ -56,7 +56,7 @@ func Run(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vector) (
 		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
 			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
 		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
+		if stop := cfg.Observer != nil && cfg.Observer.ObservePhase(info); stop || streakStop {
 			res.Stopped = true
 			break
 		}
@@ -93,9 +93,9 @@ func finish(ev *flow.Evaluator, res *Result, f flow.Vector, t float64) *Result {
 // RunFresh integrates the up-to-date-information dynamics (Eq. 1): migration
 // rates are recomputed from the true state at every derivative evaluation.
 // cfg.UpdatePeriod is ignored; cfg.Step is the reporting granularity and the
-// outer step size (each outer step is one "phase" for hooks and recording).
-// Uniformization is rejected — the fresh system is non-linear. Cancellation
-// follows the same partial-result contract as Run.
+// outer step size (each outer step is one "phase" for observers and
+// recording). Uniformization is rejected — the fresh system is non-linear.
+// Cancellation follows the same partial-result contract as Run.
 func RunFresh(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vector) (*Result, error) {
 	if err := cfg.validate(false); err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func RunFresh(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vect
 		if cfg.RecordEvery > 0 && step%cfg.RecordEvery == 0 {
 			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
 		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
+		if stop := cfg.Observer != nil && cfg.Observer.ObservePhase(info); stop || streakStop {
 			res.Stopped = true
 			break
 		}

@@ -19,10 +19,6 @@ type HedgeConfig struct {
 	Horizon float64
 	// RecordEvery records a sample every k phases (0 disables).
 	RecordEvery int
-	// Hook observes phase starts; returning true stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
 	// Observer observes phase starts; compose several with MultiObserver.
 	Observer Observer
 	// Workspace, if non-nil, supplies the run's scratch buffers (Reset at
@@ -74,7 +70,7 @@ func RunHedge(ctx context.Context, inst *flow.Instance, cfg HedgeConfig, f0 flow
 		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
 			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
 		}
-		if DeliverPhase(cfg.Hook, cfg.Observer, info) {
+		if cfg.Observer != nil && cfg.Observer.ObservePhase(info) {
 			res.Stopped = true
 			break
 		}

@@ -50,10 +50,10 @@ func TestHedgeLargeEtaOscillates(t *testing.T) {
 	var f1s []float64
 	cfg := HedgeConfig{
 		Eta: 50, UpdatePeriod: 0.5, Horizon: 100,
-		Hook: func(info PhaseInfo) bool {
+		Observer: ObserverFunc(func(info PhaseInfo) bool {
 			f1s = append(f1s, info.Flow[0])
 			return false
-		},
+		}),
 	}
 	res, err := RunHedge(context.Background(), inst, cfg, flow.Vector{0.9, 0.1})
 	if err != nil {
@@ -79,13 +79,13 @@ func TestHedgeFeasibilityAndRecording(t *testing.T) {
 	inst := mustBraess(t)
 	cfg := HedgeConfig{
 		Eta: 0.5, UpdatePeriod: 0.25, Horizon: 50, RecordEvery: 10,
-		Hook: func(info PhaseInfo) bool {
+		Observer: ObserverFunc(func(info PhaseInfo) bool {
 			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
 				t.Errorf("phase %d: %v", info.Index, err)
 				return true
 			}
 			return false
-		},
+		}),
 	}
 	res, err := RunHedge(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -103,7 +103,7 @@ func TestHedgeHookStops(t *testing.T) {
 	inst := mustPigou(t)
 	res, err := RunHedge(context.Background(), inst, HedgeConfig{
 		Eta: 0.5, UpdatePeriod: 1, Horizon: 100,
-		Hook: func(info PhaseInfo) bool { return info.Index >= 3 },
+		Observer: ObserverFunc(func(info PhaseInfo) bool { return info.Index >= 3 }),
 	}, inst.UniformFlow())
 	if err != nil {
 		t.Fatal(err)

@@ -55,10 +55,10 @@ func RunE11(p E11Params) (*report.Table, error) {
 		var f1s []float64
 		cfg := dynamics.HedgeConfig{
 			Eta: eta, UpdatePeriod: p.Period, Horizon: float64(p.Phases) * p.Period,
-			Hook: func(info dynamics.PhaseInfo) bool {
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 				f1s = append(f1s, info.Flow[0])
 				return false
-			},
+			}),
 		}
 		res, err := dynamics.RunHedge(context.Background(), inst, cfg, f0)
 		if err != nil {

@@ -58,7 +58,7 @@ func RunE12(p E12Params) (*report.Table, error) {
 		if err != nil {
 			return nil, wrap("E12", err)
 		}
-		uN, uDone, err := countUnsatisfiedRounds(inst, uPol, f0, uT, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
+		uN, uDone, err := countUnsatisfiedRounds(exactFluid, inst, uPol, f0, uT, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
 		if err != nil {
 			return nil, wrap("E12", err)
 		}
@@ -71,7 +71,7 @@ func RunE12(p E12Params) (*report.Table, error) {
 		if err != nil {
 			return nil, wrap("E12", err)
 		}
-		rN, rDone, err := countUnsatisfiedRounds(inst, rPol, f0, rT, p.Delta, p.Eps, true, p.Streak, p.MaxPhases)
+		rN, rDone, err := countUnsatisfiedRounds(exactFluid, inst, rPol, f0, rT, p.Delta, p.Eps, true, p.Streak, p.MaxPhases)
 		if err != nil {
 			return nil, wrap("E12", err)
 		}

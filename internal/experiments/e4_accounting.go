@@ -59,7 +59,7 @@ func RunE4(p E4Params) (*report.Table, error) {
 			UpdatePeriod: t,
 			InitialFlow:  inst.SinglePathFlow(0),
 			Horizon:      float64(p.Phases) * t,
-		}, engine.WithObserver(dynamics.ObserverFunc(acct.Hook())))
+		}, engine.WithObserver(acct))
 		if err != nil {
 			return nil, wrap("E4", err)
 		}

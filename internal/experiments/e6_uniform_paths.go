@@ -16,6 +16,9 @@ type E6Params struct {
 	Streak int
 	// MaxPhases caps each run.
 	MaxPhases int
+	// Population selects the engine: 0 runs the exact fluid limit, N > 0
+	// the count engine with N agents (seeded per cell with m).
+	Population int64
 }
 
 // DefaultE6Params returns the sweep used by the benchmark harness.
@@ -35,7 +38,7 @@ func DefaultE6Params() E6Params {
 // log-log exponent (paper bound: ≤ 1, i.e. at most linear).
 func RunE6(p E6Params) (*report.Table, error) {
 	tbl := &report.Table{
-		Title:   "E6 Thm 6: uniform sampling — unsatisfied rounds vs path count",
+		Title:   "E6 Thm 6" + countEngineTag(p.Population) + ": uniform sampling — unsatisfied rounds vs path count",
 		Columns: []string{"m", "T", "rounds", "complete", "bound_shape"},
 	}
 	var ms, rounds []float64
@@ -54,7 +57,8 @@ func RunE6(p E6Params) (*report.Table, error) {
 		}
 		// Start adversarially: all flow on the worst (last) link.
 		f0 := inst.SinglePathFlow(m - 1)
-		n, complete, err := countUnsatisfiedRounds(inst, pol, f0, t, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
+		eng := scalingEngine(p.Population, uint64(m))
+		n, complete, err := countUnsatisfiedRounds(eng, inst, pol, f0, t, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
 		if err != nil {
 			return nil, wrap("E6", err)
 		}
@@ -68,6 +72,10 @@ func RunE6(p E6Params) (*report.Table, error) {
 	if fit, err := stats.LogLogSlope(ms, rounds); err == nil {
 		tbl.AddNote("fitted exponent of rounds vs m = %.3f (paper bound shape: <= 1, linear)", fit.Slope)
 	}
-	tbl.AddNote("delta=%g eps=%g; rounds counted until %d consecutive satisfied phases", p.Delta, p.Eps, p.Streak)
+	if p.Population == 0 {
+		tbl.AddNote("delta=%g eps=%g; rounds counted until %d consecutive satisfied phases", p.Delta, p.Eps, p.Streak)
+	} else {
+		tbl.AddNote("%sdelta=%g eps=%g streak=%d", countEngineNote(p.Population), p.Delta, p.Eps, p.Streak)
+	}
 	return tbl, nil
 }

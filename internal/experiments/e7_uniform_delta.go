@@ -18,6 +18,9 @@ type E7Params struct {
 	Streak int
 	// MaxPhases caps each run.
 	MaxPhases int
+	// Population selects the engine: 0 runs the exact fluid limit, N > 0
+	// the count engine with N agents (seeded per cell with its 1-based row).
+	Population int64
 }
 
 // DefaultE7Params returns the sweep used by the benchmark harness.
@@ -36,7 +39,7 @@ func DefaultE7Params() E7Params {
 // an upper envelope).
 func RunE7(p E7Params) (*report.Table, error) {
 	tbl := &report.Table{
-		Title:   "E7 Thm 6: uniform sampling — unsatisfied rounds vs delta",
+		Title:   "E7 Thm 6" + countEngineTag(p.Population) + ": uniform sampling — unsatisfied rounds vs delta",
 		Columns: []string{"delta", "rounds", "complete", "bound_shape"},
 	}
 	inst, err := topo.LinearParallelLinks(p.Links)
@@ -53,8 +56,9 @@ func RunE7(p E7Params) (*report.Table, error) {
 	}
 	f0 := inst.SinglePathFlow(p.Links - 1)
 	var ds, rounds []float64
-	for _, d := range p.Deltas {
-		n, complete, err := countUnsatisfiedRounds(inst, pol, f0, t, d, p.Eps, false, p.Streak, p.MaxPhases)
+	for i, d := range p.Deltas {
+		eng := scalingEngine(p.Population, uint64(i+1))
+		n, complete, err := countUnsatisfiedRounds(eng, inst, pol, f0, t, d, p.Eps, false, p.Streak, p.MaxPhases)
 		if err != nil {
 			return nil, wrap("E7", err)
 		}
@@ -66,6 +70,6 @@ func RunE7(p E7Params) (*report.Table, error) {
 	if fit, err := stats.LogLogSlope(ds, rounds); err == nil {
 		tbl.AddNote("fitted exponent of rounds vs delta = %.3f (paper bound shape: -2)", fit.Slope)
 	}
-	tbl.AddNote("m=%d eps=%g", p.Links, p.Eps)
+	tbl.AddNote("%sm=%d eps=%g", countEngineNote(p.Population), p.Links, p.Eps)
 	return tbl, nil
 }

@@ -233,10 +233,6 @@ func (in *Instance) BestResponse(pathLat []float64) Vector {
 // Beta is a convenience alias for MaxSlope matching the paper's notation.
 func (in *Instance) Beta() float64 { return in.MaxSlope() }
 
-// PotentialLowerBound returns min over a crude grid of 0 — Φ is always
-// non-negative for non-negative latency functions; exposed for tests.
-func (in *Instance) PotentialLowerBound() float64 { return 0 }
-
 // Gap returns Φ(f) − Φ*, clamped at 0 to absorb round-off when f is at the
 // optimum.
 func Gap(phi, phiStar float64) float64 {

@@ -205,12 +205,6 @@ func TestGapClamps(t *testing.T) {
 	}
 }
 
-func TestPotentialLowerBound(t *testing.T) {
-	if pigou(t).PotentialLowerBound() != 0 {
-		t.Error("potential lower bound should be 0")
-	}
-}
-
 func TestPathLatenciesAllocates(t *testing.T) {
 	inst := pigou(t)
 	pl := inst.PathLatencies(Vector{1, 0})

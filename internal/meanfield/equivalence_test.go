@@ -57,7 +57,7 @@ func TestDistributionalEquivalenceVsAgents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cres, err := cs.Run()
+		cres, err := cs.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestLargePopulationApproachesFluid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := s.Run()
+	cres, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

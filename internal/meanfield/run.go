@@ -9,12 +9,6 @@ import (
 	"wardrop/internal/policy"
 )
 
-// Run simulates until the horizon (or an observer stop) and returns the
-// result.
-func (s *Sim) Run() (*dynamics.Result, error) {
-	return s.RunContext(context.Background())
-}
-
 // RunContext simulates until the horizon (or an observer stop) and returns
 // the result. The Result's Phases/Trajectory/UnsatisfiedPhases semantics
 // match the dynamics package, and cancellation is checked between phases
@@ -90,7 +84,7 @@ func (s *Sim) RunContext(ctx context.Context) (*dynamics.Result, error) {
 		if s.cfg.RecordEvery > 0 && phase%s.cfg.RecordEvery == 0 {
 			res.Trajectory = append(res.Trajectory, dynamics.Sample{Time: t, Potential: phi, Flow: curF.Clone()})
 		}
-		if stop := dynamics.DeliverPhase(nil, s.cfg.Observer, info); stop || streakStop {
+		if stop := s.cfg.Observer != nil && s.cfg.Observer.ObservePhase(info); stop || streakStop {
 			res.Stopped = true
 			break
 		}

@@ -12,9 +12,7 @@ import (
 // Run(ctx, scenario, opts...) is the single entry point for every dynamics:
 // a Scenario says what to simulate (instance, policy, information model,
 // initial flow, run shape), an Engine says how (fluid limit, best response,
-// finite-N agents), and Observers watch or stop the run. The legacy
-// Simulate/SimulateFresh/SimulateBestResponse/NewAgentSim entry points
-// remain as deprecated adapters around the same internals.
+// finite-N agents, counts), and Observers watch or stop the run.
 
 // Scenario declares one simulation: instance + policy + information model +
 // initial flow + run shape. See engine.Scenario.
@@ -54,8 +52,8 @@ const MaxAgentPopulation = engine.MaxAgentPopulation
 // RunOption configures one Run call.
 type RunOption = engine.RunOption
 
-// Result is the unified simulation outcome shared by every engine (the same
-// shape the deprecated entry points return as SimResult).
+// Result is the unified simulation outcome shared by every engine and by
+// SimulateHedge.
 type Result = engine.Result
 
 // Run executes the scenario on its engine (FluidEngine when the scenario
@@ -83,11 +81,10 @@ func WithObserver(obs ...Observer) RunOption { return engine.WithObserver(obs...
 // Observers ------------------------------------------------------------------
 
 // Observer receives every phase start; returning true from ObservePhase
-// stops the run. It replaces the legacy bool-returning Hook.
+// stops the run. It is the one phase hook of every engine.
 type Observer = dynamics.Observer
 
-// ObserverFunc adapts a plain function (e.g. a legacy Hook closure) to the
-// Observer interface.
+// ObserverFunc adapts a plain function to the Observer interface.
 type ObserverFunc = dynamics.ObserverFunc
 
 // Observers fans one phase stream out to several observers; every observer

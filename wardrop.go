@@ -45,10 +45,6 @@
 // Swapping the dynamics is one field, not a different function:
 //
 //	wardrop.Scenario{Engine: wardrop.AgentsEngine{N: 10000, Seed: 7}, ...}
-//
-// The pre-redesign entry points Simulate, SimulateFresh,
-// SimulateBestResponse and NewAgentSim remain as deprecated thin adapters
-// with byte-identical results.
 package wardrop
 
 import (

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"wardrop"
@@ -259,10 +260,10 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	}
 }
 
-// A user-registered start distribution is selectable from scenario files.
-func TestRegisteredStartFlowsThroughScenarios(t *testing.T) {
-	_ = registered
-	err := wardrop.RegisterStart(wardrop.StartEntry{
+// registerFirstPathStart adds the test-only "testfirstpath" start once per
+// process: the start catalog is global and refuses a second entry.
+var registerFirstPathStart = sync.OnceValue(func() error {
+	return wardrop.RegisterStart(wardrop.StartEntry{
 		Name: "testfirstpath",
 		Doc:  "test-only start: everything on each commodity's first path",
 		Build: func(json.RawMessage) (wardrop.StartFunc, error) {
@@ -276,7 +277,12 @@ func TestRegisteredStartFlowsThroughScenarios(t *testing.T) {
 			}, nil
 		},
 	})
-	if err != nil {
+})
+
+// A user-registered start distribution is selectable from scenario files.
+func TestRegisteredStartFlowsThroughScenarios(t *testing.T) {
+	_ = registered
+	if err := registerFirstPathStart(); err != nil {
 		t.Fatal(err)
 	}
 	doc := `{

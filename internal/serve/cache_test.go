@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 
 	"wardrop/internal/catalog"
@@ -55,11 +56,10 @@ func TestLRUDisabled(t *testing.T) {
 	}
 }
 
-// TestJobPanicIsolation poisons a topology family whose constructor panics:
-// the job must fail with a recorded panic while the worker (and every later
-// request) keeps serving.
-func TestJobPanicIsolation(t *testing.T) {
-	err := topo.Catalog.Register(catalog.Entry[topo.Builder]{
+// registerPanicTopology adds, once per process, a topology family whose
+// constructor panics: the catalog is global and refuses a second entry.
+var registerPanicTopology = sync.OnceValue(func() error {
+	return topo.Catalog.Register(catalog.Entry[topo.Builder]{
 		Name: "serve-test-panics",
 		Doc:  "test-only family whose constructor panics",
 		Build: func(args json.RawMessage) (topo.Builder, error) {
@@ -68,7 +68,13 @@ func TestJobPanicIsolation(t *testing.T) {
 			}}, nil
 		},
 	})
-	if err != nil {
+})
+
+// TestJobPanicIsolation poisons a topology family whose constructor panics:
+// the job must fail with a recorded panic while the worker (and every later
+// request) keeps serving.
+func TestJobPanicIsolation(t *testing.T) {
+	if err := registerPanicTopology(); err != nil {
 		t.Fatal(err)
 	}
 

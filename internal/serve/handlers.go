@@ -205,11 +205,12 @@ func (s *Server) MetricsSnapshot() Metrics {
 }
 
 // handleScenarios answers POST /v1/scenarios: parse, fingerprint, serve
-// from the result cache when possible, otherwise schedule. The default mode
-// runs synchronously — the response body is the scenario's canonical result
-// document, byte-identical to `wardsim -scenario <file> -json` on the same
-// spec. `?mode=job` detaches the run from the request and answers with a
-// job resource instead (stream the trajectory from /v1/jobs/{id}/stream).
+// from the result cache when possible, otherwise join the identical run in
+// flight or schedule one (see attach). The default mode runs synchronously —
+// the response body is the scenario's canonical result document,
+// byte-identical to `wardsim -scenario <file> -json` on the same spec.
+// `?mode=job` detaches the run from the request and answers with a job
+// resource instead (stream the trajectory from /v1/jobs/{id}/stream).
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	spec, ok := parseSpec(w, r, scenario.Parse)
 	if !ok {
@@ -251,50 +252,38 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	}
-	if async {
-		// Detached from the request: an async job outlives its submitter
-		// and is cancelled only by server shutdown.
-		j := s.newJob(kindScenario, fp, context.Background())
-		j.spec = spec
-		j.trace = trace
-		s.register(j)
-		if err := s.submit(j); err != nil {
-			j.fail(err)
-			writeSubmitError(w, err)
-			return
-		}
-		// Only scheduled work counts as a miss: a 503'd request never
-		// consulted an engine, so it must not dilute the hit rate.
-		s.met.cacheMisses.Add(1)
-		writeJSON(w, http.StatusAccepted, j.status())
-		return
-	}
+	s.serveMiss(w, r, kindScenario, fp, trace, async, "application/json", func(j *job) { j.spec = spec })
+}
 
-	// Synchronous: the job inherits the request context, so a client
-	// disconnect cancels the simulation between phases and frees the worker
-	// slot; the job is left failed for the audit trail.
-	j := s.newJob(kindScenario, fp, r.Context())
-	j.spec = spec
-	j.trace = trace
-	s.register(j)
-	if err := s.submit(j); err != nil {
-		j.fail(err)
+// serveMiss answers a request that missed both cache tiers from the job
+// attach finds for it. An async request answers the job resource at once
+// (202); a synchronous one waits for the result document, or answers the
+// job's error as 422. Every request attached to one job gets the same
+// answer, X-Cache: miss included.
+func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, kind, fp string, trace int, async bool, contentType string, fill func(*job)) {
+	j, err := s.attach(kind, fp, trace, async, fill)
+	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-	s.met.cacheMisses.Add(1)
-	<-j.done
+	if async {
+		writeJSON(w, http.StatusAccepted, j.status())
+		return
+	}
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		// The client is gone; nothing can be written.
+		s.leave(j)
+		return
+	}
 	st := j.status()
 	if st.State == JobFailed {
-		if r.Context().Err() != nil {
-			// The client is gone; nothing can be written.
-			return
-		}
 		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
 		return
 	}
 	w.Header().Set("X-Cache", TierMiss)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	_, _ = w.Write(j.resultBytes())
 }
 
@@ -323,27 +312,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body)
 		return
 	}
-	j := s.newJob(kindTask, fp, r.Context())
-	j.task = ts
-	s.register(j)
-	if err := s.submit(j); err != nil {
-		j.fail(err)
-		writeSubmitError(w, err)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-	<-j.done
-	st := j.status()
-	if st.State == JobFailed {
-		if r.Context().Err() != nil {
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
-		return
-	}
-	w.Header().Set("X-Cache", TierMiss)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_, _ = w.Write(j.resultBytes())
+	s.serveMiss(w, r, kindTask, fp, 0, false, "application/x-ndjson", func(j *job) { j.task = ts })
 }
 
 // handleCampaigns answers POST /v1/campaigns: always asynchronous — the
@@ -361,22 +330,15 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Fingerprint", fp)
-	j := s.newJob(kindCampaign, fp, context.Background())
-	j.campaign = c
 	if body, _, ok := s.cacheGet(kindCampaign, fp); ok {
+		j := s.newJob(kindCampaign, fp, context.Background())
+		j.campaign = c
 		j.complete(body, true)
 		s.register(j)
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	}
-	s.register(j)
-	if err := s.submit(j); err != nil {
-		j.fail(err)
-		writeSubmitError(w, err)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-	writeJSON(w, http.StatusAccepted, j.status())
+	s.serveMiss(w, r, kindCampaign, fp, 0, true, "", func(j *job) { j.campaign = c })
 }
 
 // handleJobs lists every retained job, oldest first.

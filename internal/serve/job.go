@@ -85,6 +85,12 @@ type job struct {
 	// ring capacity to the run and streams {"span":…} lines.
 	enqueued time.Time
 	trace    int
+	// waiters counts the synchronous requests waiting on the job and
+	// pinned marks one an async submitter holds: the job is cancelled when
+	// its last waiter leaves, unless pinned. Both are guarded by the
+	// server's mu, not j.mu.
+	waiters int
+	pinned  bool
 
 	mu     sync.Mutex
 	state  JobState
@@ -205,12 +211,6 @@ func (j *job) fail(err error) {
 
 func (j *job) terminalLocked() bool {
 	return j.state == JobDone || j.state == JobFailed
-}
-
-func (j *job) failed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == JobFailed
 }
 
 // resultBytes returns the final result document of a done job.

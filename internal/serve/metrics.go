@@ -68,6 +68,7 @@ type metrics struct {
 
 	jobsRun, jobsFailed               *obs.Counter
 	cacheHits, cacheMisses            *obs.Counter
+	coalesced                         *obs.Counter
 	storeHits, storePuts, storeErrors *obs.Counter
 	queueHighWater                    *obs.Gauge
 	running                           *obs.Gauge
@@ -90,6 +91,7 @@ func newMetrics(window int, reg *obs.Registry) *metrics {
 		jobsFailed:     reg.Counter("serve_jobs_failed_total", "jobs that ended failed"),
 		cacheHits:      reg.Counter("serve_cache_hits_total", "result-cache hits across both tiers"),
 		cacheMisses:    reg.Counter("serve_cache_misses_total", "result-cache misses that scheduled work"),
+		coalesced:      reg.Counter("serve_coalesced_total", "requests attached to an in-flight job"),
 		storeHits:      reg.Counter("serve_store_hits_total", "cache hits served from the durable store"),
 		storePuts:      reg.Counter("serve_store_puts_total", "result documents written through to the store"),
 		storeErrors:    reg.Counter("serve_store_errors_total", "durable-store read/write failures"),

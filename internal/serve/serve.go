@@ -142,8 +142,16 @@ type Server struct {
 	jobOrder []string
 	nextID   int
 	draining bool
-	wg       sync.WaitGroup
+	// flights maps (kind, fingerprint) to the job computing that result
+	// right now, so concurrent misses share one run; an entry lives from
+	// submission until the job is terminal or its last waiter leaves.
+	flights map[flightKey]*job
+	wg      sync.WaitGroup
 }
+
+// flightKey identifies the result a job computes: requests with equal keys
+// get the same answer, so they can share one job.
+type flightKey struct{ kind, fingerprint string }
 
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
@@ -156,6 +164,7 @@ func New(cfg Config) *Server {
 		instCache: sweep.NewInstanceCache(),
 		queue:     make(chan *job, cfg.QueueDepth),
 		jobs:      make(map[string]*job),
+		flights:   make(map[flightKey]*job),
 	}
 	// Live-state instruments read their owners at exposition time; the
 	// cumulative engine-run counter stays on the server's atomic (EngineRuns
@@ -246,11 +255,16 @@ func (s *Server) cancelJobs() {
 	}
 }
 
-// register assigns the job an ID and retains it for /v1/jobs, evicting the
-// oldest terminal jobs beyond the history cap.
+// register assigns the job an ID and retains it for /v1/jobs.
 func (s *Server) register(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.registerLocked(j)
+}
+
+// registerLocked is register for callers holding s.mu; it evicts the oldest
+// terminal jobs beyond the history cap.
+func (s *Server) registerLocked(j *job) {
 	s.nextID++
 	j.id = fmt.Sprintf("j%08d", s.nextID)
 	s.jobs[j.id] = j
@@ -278,10 +292,9 @@ func (s *Server) register(j *job) {
 	s.jobOrder = kept
 }
 
-// submit enqueues the job, refusing when draining or full.
-func (s *Server) submit(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// submitLocked enqueues the job, refusing when draining or full. Callers
+// hold s.mu.
+func (s *Server) submitLocked(j *job) error {
 	if s.draining {
 		return ErrDraining
 	}
@@ -294,6 +307,71 @@ func (s *Server) submit(j *job) error {
 		return nil
 	default:
 		return ErrQueueFull
+	}
+}
+
+// attach finds the job a request that missed both cache tiers waits on.
+// Under one hold of s.mu it joins the job already in flight for (kind, fp),
+// or builds one (fill sets its spec), registers and submits it, so a request
+// never joins a job the queue refused. A traced job (trace > 0) neither
+// leads nor joins a flight: its stream carries its own spans. An async
+// request pins the job; a synchronous one must leave it when its client
+// disconnects. A request whose cache lookup raced the flight's completion
+// finds neither the result nor the flight and runs the spec again: one
+// duplicate run, never a wrong answer.
+func (s *Server) attach(kind, fp string, trace int, async bool, fill func(*job)) (*job, error) {
+	key := flightKey{kind, fp}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.flights[key]
+	if j != nil && trace == 0 {
+		s.met.coalesced.Add(1)
+	} else {
+		// Detached from any one request: the job's waiters decide together
+		// when to give it up (see leave).
+		j = s.newJob(kind, fp, context.Background())
+		j.trace = trace
+		fill(j)
+		s.registerLocked(j)
+		if err := s.submitLocked(j); err != nil {
+			j.fail(err)
+			return nil, err
+		}
+		// Only scheduled work counts as a miss: a 503'd request never
+		// consulted an engine, so it must not dilute the hit rate.
+		s.met.cacheMisses.Add(1)
+		if trace == 0 {
+			s.flights[key] = j
+		}
+	}
+	if async {
+		j.pinned = true
+	} else {
+		j.waiters++
+	}
+	return j, nil
+}
+
+// leave drops a synchronous waiter whose client disconnected. The last
+// waiter to leave an unpinned job cancels it, which frees its worker
+// between phases and leaves the job failed for the audit trail.
+func (s *Server) leave(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.waiters--
+	if j.waiters > 0 || j.pinned {
+		return
+	}
+	s.landLocked(j)
+	j.cancel()
+}
+
+// landLocked ends j's flight: later identical misses schedule new work.
+// Callers hold s.mu.
+func (s *Server) landLocked(j *job) {
+	key := flightKey{j.kind, j.fingerprint}
+	if s.flights[key] == j {
+		delete(s.flights, key)
 	}
 }
 
@@ -313,48 +391,62 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job with panic isolation: a poisoned spec fails its
-// own job, never the worker or the process.
+// runJob executes one job and settles it. Its counters, its cached result
+// and the end of its flight are all in place before the job turns terminal,
+// so whoever the terminal transition wakes reads settled metrics, and a
+// later identical request hits the cache or runs again.
 func (s *Server) runJob(j *job, ws *flow.Workspace) {
 	start := time.Now()
 	if !j.enqueued.IsZero() {
 		s.met.queueWaitMs.Observe(ms(start.Sub(j.enqueued)))
 	}
 	s.met.running.Add(1)
-	defer s.met.running.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			j.fail(fmt.Errorf("panic: %v", r))
-		}
-		if j.failed() {
-			s.met.jobsFailed.Add(1)
-		}
-		s.met.jobsRun.Add(1)
-		s.met.observe(time.Since(start))
-		j.cancel()
-	}()
 	j.setRunning()
-	var err error
-	switch j.kind {
-	case kindScenario:
-		err = s.runScenario(j, ws)
-	case kindCampaign:
-		err = s.runCampaign(j, ws)
-	case kindTask:
-		err = s.runTask(j, ws)
-	default:
-		err = fmt.Errorf("serve: unknown job kind %q", j.kind)
+	body, err := s.execute(j, ws)
+	if err == nil {
+		s.cacheAdd(j.kind, j.fingerprint, body)
+	} else {
+		s.met.jobsFailed.Add(1)
 	}
+	s.met.running.Add(-1)
+	s.met.jobsRun.Add(1)
+	s.met.observe(time.Since(start))
+	j.cancel()
+	s.mu.Lock()
+	s.landLocked(j)
+	s.mu.Unlock()
 	if err != nil {
 		j.fail(err)
+		return
 	}
+	j.complete(body, false)
+}
+
+// execute runs the job's work and returns its result document, with panic
+// isolation: a poisoned spec fails its own job, never the worker or the
+// process.
+func (s *Server) execute(j *job, ws *flow.Workspace) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	switch j.kind {
+	case kindScenario:
+		return s.runScenario(j, ws)
+	case kindCampaign:
+		return s.runCampaign(j, ws)
+	case kindTask:
+		return s.runTask(j, ws)
+	}
+	return nil, fmt.Errorf("serve: unknown job kind %q", j.kind)
 }
 
 // runScenario executes a scenario job through the shared Spec.Run path —
 // the same execution `wardsim -scenario` uses, so the encoded result
 // document is byte-identical — streaming trajectory samples and replayed
-// timeline events as they happen, then memoizing the document.
-func (s *Server) runScenario(j *job, ws *flow.Workspace) error {
+// timeline events as they happen, and returns the encoded document.
+func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
 	opts := []engine.RunOption{engine.WithWorkspace(ws)}
 	if every := j.spec.RecordEvery; every > 0 {
 		opts = append(opts, engine.WithObserver(dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
@@ -387,20 +479,17 @@ func (s *Server) runScenario(j *job, ws *flow.Workspace) error {
 		j.appendLine(streamLine{Event: &ev})
 	}, opts...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	doc, err := scenario.NewRunResult(j.spec, res, events)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := doc.Encode(&buf); err != nil {
-		return err
+		return nil, err
 	}
-	body := buf.Bytes()
-	s.cacheAdd(kindScenario, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return buf.Bytes(), nil
 }
 
 // cacheAdd writes a finished result document through both cache tiers,
@@ -451,8 +540,8 @@ type CampaignResult struct {
 }
 
 // runCampaign executes a campaign job, streaming one record line per
-// completed task and finishing with the aggregated summary document.
-func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
+// completed task, and returns the aggregated summary document.
+func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
 	_ = ws // campaign workers own their workspaces inside sweep.Run
 	res, err := sweep.Run(j.ctx, j.campaign, sweep.Options{
 		Workers: s.cfg.CampaignWorkers,
@@ -461,7 +550,7 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.engineRuns.Add(int64(len(res.Records)))
 	failed := 0
@@ -480,12 +569,9 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 	}
 	body, err := json.Marshal(doc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body = append(body, '\n')
-	s.cacheAdd(kindCampaign, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return append(body, '\n'), nil
 }
 
 // runTask executes one distributed-sweep task job. Task-level failures (a
@@ -494,21 +580,18 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 // only when cancelled before producing a record. The memoized document is the
 // canonical record line: wall time is the submitter's measurement to take,
 // and a replayed cache hit carrying a stale wall time would poison it.
-func (s *Server) runTask(j *job, ws *flow.Workspace) error {
+func (s *Server) runTask(j *job, ws *flow.Workspace) ([]byte, error) {
 	rec, aborted := sweep.RunTaskSpec(j.ctx, j.task, s.instCache, ws)
 	if aborted {
 		if err := j.ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		return context.Canceled
+		return nil, context.Canceled
 	}
 	s.engineRuns.Add(1)
 	body, err := json.Marshal(sweep.CanonicalRecord(rec))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body = append(body, '\n')
-	s.cacheAdd(kindTask, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return append(body, '\n'), nil
 }

@@ -104,6 +104,23 @@ var goldens = map[string]goldenCase{
 		phi:    "0",
 		phases: 12, unsat: 0, traj: 4,
 	},
+	"layered/agents": {
+		final: []string{
+			"0.013333333333333334", "0.016666666666666666", "0.026666666666666668", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666",
+			"0.023333333333333334", "0.016666666666666666", "0.016666666666666666", "0.01", "0.033333333333333333", "0.02",
+			"0.02", "0.016666666666666666", "0.02", "0.016666666666666666", "0.013333333333333334", "0.013333333333333334",
+			"0.016666666666666666", "0.01", "0.013333333333333334", "0.016666666666666666", "0.02", "0.013333333333333334",
+			"0.016666666666666666", "0.016666666666666666", "0.02", "0.016666666666666666", "0.016666666666666666", "0.01",
+			"0.013333333333333334", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666",
+			"0.02", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666", "0.016666666666666666",
+			"0.013333333333333334", "0.013333333333333334", "0.013333333333333334", "0.01", "0.013333333333333334", "0.013333333333333334",
+			"0.01", "0.013333333333333334", "0.013333333333333334", "0.013333333333333334", "0.01", "0.013333333333333334",
+			"0.02", "0.01", "0.01", "0.013333333333333334", "0.013333333333333334", "0.013333333333333334",
+			"0.013333333333333334", "0.013333333333333334", "0.013333333333333334", "0.016666666666666666",
+		},
+		phi:    "1.2467356108338312",
+		phases: 12, unsat: 0, traj: 4,
+	},
 }
 
 func goldenTopologies(t *testing.T) map[string]*wardrop.Instance {
@@ -220,7 +237,16 @@ func TestGoldenRunMatchesSimulateBestResponse(t *testing.T) {
 }
 
 func TestGoldenRunMatchesAgentSim(t *testing.T) {
-	for name, inst := range goldenTopologies(t) {
+	insts := goldenTopologies(t)
+	// The 64-path layered DAG (captured later than the three seed
+	// topologies) pins the per-agent engine where most activations sample
+	// a path other than the agent's own.
+	layered, err := wardrop.LayeredRandom(3, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts["layered"] = layered
+	for name, inst := range insts {
 		pol, err := wardrop.Replicator(inst.LMax())
 		if err != nil {
 			t.Fatal(err)

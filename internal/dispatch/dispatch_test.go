@@ -101,10 +101,12 @@ func TestWorkerFailureMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, https, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	doomed, kill := startDoomedWorker(t)
+	_, _, survivors := startWorkers(t, 2, serve.Config{Workers: 2})
+	urls := append(survivors, doomed)
 
 	var (
-		kill    sync.Once
+		once    sync.Once
 		evMu    sync.Mutex
 		deaths  int
 		retries int
@@ -112,15 +114,9 @@ func TestWorkerFailureMidCampaign(t *testing.T) {
 	opts := Options{
 		Progress: func(done, total int, rec sweep.Record) {
 			if done == 5 {
-				kill.Do(func() {
-					// Sever in-flight connections and the listener from a
-					// separate goroutine: Close blocks on outstanding
-					// requests, and the collector must keep draining.
-					go func() {
-						https[2].CloseClientConnections()
-						https[2].Close()
-					}()
-				})
+				// Kill from a separate goroutine: the collector must keep
+				// draining while the doomed worker is severed.
+				once.Do(func() { go kill() })
 			}
 		},
 		Events: func(ev Event) {

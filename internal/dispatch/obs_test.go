@@ -67,10 +67,38 @@ func TestRunPopulatesMetrics(t *testing.T) {
 // expects the death counter to move with the failover.
 func TestNodeDeathMovesCounters(t *testing.T) {
 	camp := parseCampaign(t, strings.Replace(campaignDoc, `"seeds": 3`, `"seeds": 9`, 1))
-	// The doomed worker holds every request it receives until it is
-	// killed, then drops the connection without answering, so it is certain
-	// to be mid-request when it dies: a worker fast enough to drain its share
-	// first would let the death be raced past unobserved.
+	doomed, kill := startDoomedWorker(t)
+	_, _, survivors := startWorkers(t, 2, serve.Config{Workers: 2})
+	urls := append([]string{doomed}, survivors...)
+
+	reg := obs.NewRegistry()
+	var once sync.Once
+	res, err := Run(context.Background(), camp, urls, Options{
+		Metrics: reg,
+		Progress: func(done, total int, rec sweep.Record) {
+			if done == 3 {
+				once.Do(func() { go kill() })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) == 0 {
+		t.Fatal("no records survived the node death")
+	}
+	if got := reg.Counter("dispatch_node_deaths_total", "").Value(); got != 1 {
+		t.Fatalf("node deaths = %d, want 1", got)
+	}
+}
+
+// startDoomedWorker starts a worker that holds every request it receives
+// until kill, then drops the connection without answering, so it is certain
+// to be mid-request when it dies: a real worker fast enough to drain its
+// share first would let the death be raced past unobserved. kill waits for
+// the first request to arrive; call it off the collector's goroutine.
+func startDoomedWorker(t *testing.T) (url string, kill func()) {
+	t.Helper()
 	arrived, killed := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	doomed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -83,33 +111,10 @@ func TestNodeDeathMovesCounters(t *testing.T) {
 		panic(http.ErrAbortHandler)
 	}))
 	t.Cleanup(doomed.Close)
-	_, _, survivors := startWorkers(t, 2, serve.Config{Workers: 2})
-	urls := append([]string{doomed.URL}, survivors...)
-
-	reg := obs.NewRegistry()
-	var kill sync.Once
-	res, err := Run(context.Background(), camp, urls, Options{
-		Metrics: reg,
-		Progress: func(done, total int, rec sweep.Record) {
-			if done == 3 {
-				kill.Do(func() {
-					go func() {
-						<-arrived
-						close(killed)
-						doomed.CloseClientConnections()
-						doomed.Close()
-					}()
-				})
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) == 0 {
-		t.Fatal("no records survived the node death")
-	}
-	if got := reg.Counter("dispatch_node_deaths_total", "").Value(); got != 1 {
-		t.Fatalf("node deaths = %d, want 1", got)
+	return doomed.URL, func() {
+		<-arrived
+		close(killed)
+		doomed.CloseClientConnections()
+		doomed.Close()
 	}
 }

@@ -213,17 +213,17 @@ func TestPoissonMoments(t *testing.T) {
 		const n = 20000
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += float64(rng.Poisson(mean))
+			sum += float64(newPoisson(mean).draw(rng))
 		}
 		got := sum / n
 		if math.Abs(got-mean) > 0.05*mean+0.05 {
 			t.Errorf("Poisson(%g) sample mean = %g", mean, got)
 		}
 	}
-	if NewRNG(1).Poisson(0) != 0 {
+	if newPoisson(0).draw(NewRNG(1)) != 0 {
 		t.Error("Poisson(0) != 0")
 	}
-	if NewRNG(1).Poisson(-1) != 0 {
+	if newPoisson(-1).draw(NewRNG(1)) != 0 {
 		t.Error("Poisson(-1) != 0")
 	}
 }
@@ -333,4 +333,22 @@ func TestRunContextCancellationWithinGiantPhase(t *testing.T) {
 	if res == nil || res.Phases != 0 {
 		t.Fatalf("partial result %+v, want the abandoned phase not counted", res)
 	}
+}
+
+var poissonSink int
+
+// BenchmarkPoissonPhase measures the agents engine's activation kernel: one
+// op is a phase's Poisson(T) activation draws for a 10 000-agent shard at
+// the common period T = 0.25.
+func BenchmarkPoissonPhase(b *testing.B) {
+	const agents = 10_000
+	r := NewRNG(1)
+	sum := 0
+	for b.Loop() {
+		activations := newPoisson(0.25)
+		for a := 0; a < agents; a++ {
+			sum += activations.draw(r)
+		}
+	}
+	poissonSink = sum
 }

@@ -17,7 +17,7 @@ func TestPoissonDigest(t *testing.T) {
 	var buf [8]byte
 	for _, mean := range []float64{0.01, 0.05, 0.25, 1, 5, 29.5, 31} {
 		for i := 0; i < perMean; i++ {
-			binary.LittleEndian.PutUint64(buf[:], uint64(r.Poisson(mean)))
+			binary.LittleEndian.PutUint64(buf[:], uint64(newPoisson(mean).draw(r)))
 			h.Write(buf[:])
 		}
 	}

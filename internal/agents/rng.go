@@ -26,27 +26,34 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Poisson returns a Poisson(mean) variate via Knuth's product method —
-// appropriate for the small per-phase activation means (T ≈ 0.01…5) this
-// simulator uses. For large means it falls back to a normal approximation.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
+// poisson is the Poisson(mean) distribution with Knuth's threshold e^-mean
+// computed once, so a phase pays one Exp for all of its agents' draws.
+type poisson struct {
+	mean, limit float64
+}
+
+func newPoisson(mean float64) poisson { return poisson{mean: mean, limit: math.Exp(-mean)} }
+
+// draw returns a Poisson variate via Knuth's product method — appropriate
+// for the small per-phase activation means (T ≈ 0.01…5) this simulator
+// uses. For large means it falls back to a normal approximation.
+func (d poisson) draw(r *RNG) int {
+	if d.mean <= 0 {
 		return 0
 	}
-	if mean > 30 {
+	if d.mean > 30 {
 		// Normal approximation with continuity correction.
-		n := int(math.Round(mean + math.Sqrt(mean)*r.normal()))
+		n := int(math.Round(d.mean + math.Sqrt(d.mean)*r.normal()))
 		if n < 0 {
 			return 0
 		}
 		return n
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= r.Float64()
-		if p <= l {
+		if p <= d.limit {
 			return k
 		}
 		k++

@@ -411,10 +411,11 @@ func (s *Sim) runShard(ctx context.Context, w int, rng *RNG, snap board.Snapshot
 	shard := s.shards[w]
 	counts := s.counts[w]
 	mig := s.cfg.Policy.Migrator
+	activations := newPoisson(tau)
 	events := 0
 	for idx := range shard {
 		a := &shard[idx]
-		k := rng.Poisson(tau)
+		k := activations.draw(rng)
 		if k == 0 {
 			continue
 		}

@@ -11,9 +11,12 @@
 // once, then repeatedly (a) splits every active row over its destinations
 // with one multinomial draw and (b) thins the survivors by the Poisson
 // activation-count tail ratio, until no agent has activations left. The
-// result is distributionally identical to simulating each agent — not an
-// approximation — while a phase costs O(paths² · rounds) independent of the
-// population, so millions of agents cost the same as thousands.
+// decomposition is exact: the result is distributionally identical to
+// simulating each agent, up to one approximation shared with the per-agent
+// engine — a Binomial draw whose mean exceeds 30 uses a normal approximation
+// (continuity-corrected), as does the per-agent engine's Poisson activation
+// draw. A phase costs O(paths² · rounds) independent of the population, so
+// millions of agents cost the same as thousands.
 package meanfield
 
 import (

@@ -57,7 +57,7 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 	}
 	mean := float64(n) * p
 	if mean <= binvCutoff {
-		return r.binomialInv(n, p)
+		return binv(n, p, r.Float64())
 	}
 	// Normal approximation with continuity correction, clamped to [0, n].
 	x := math.Round(mean + math.Sqrt(mean*(1-p))*r.normal())
@@ -70,17 +70,31 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 	return int64(x)
 }
 
-// binomialInv draws by sequential inversion (the classic BINV recurrence):
-// walk the pmf from k = 0, subtracting each term from the uniform draw until
-// it is exhausted. Requires p <= 1/2 and np <= binvCutoff.
-func (r *RNG) binomialInv(n int64, p float64) int64 {
+// binvZeroMargin is the gap binv leaves between its fast-zero threshold
+// 1 - np and the computed q^n, so that the shortcut never changes a draw.
+// Bernoulli's inequality gives (1-p)^n >= 1 - np. The shortcut can only fire
+// when np < 1, where |n·log1p(-p)| < 2 ln 2; there log1p, the product and
+// exp each round within an ulp, so the computed q^n is within 1e-15 of the
+// true value. 1 - np is computed within 2e-16. The margin, 2^-40 ≈ 9.1e-13,
+// exceeds both errors a thousandfold: u < 1 - np - margin implies u <= the
+// computed q^n, where the full inversion also returns 0.
+const binvZeroMargin = 0x1p-40
+
+// binv inverts the Binomial(n, p) cdf at u by sequential search (the
+// classic BINV recurrence): walk the pmf from k = 0, subtracting each term
+// from u until it is exhausted. Requires p <= 1/2 and np <= binvCutoff.
+// Most draws at small np are 0; those below the Bernoulli bound return
+// before the exp/log1p that q^n costs.
+func binv(n int64, p, u float64) int64 {
+	if u < 1-float64(n)*p-binvZeroMargin {
+		return 0
+	}
 	q := 1 - p
 	s := p / q
 	a := float64(n+1) * s
 	// q^n via log1p: np <= 30 and p <= 1/2 bound n·log(q) above -2·30·ln 2,
 	// far from underflow.
 	prob := math.Exp(float64(n) * math.Log1p(-p))
-	u := r.Float64()
 	var k int64
 	for u > prob {
 		u -= prob

@@ -5,8 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"wardrop/internal/flow"
@@ -102,15 +102,16 @@ func TestCountEngineGoldens(t *testing.T) {
 	if layered.NumPaths() != 64 {
 		t.Fatalf("layered golden instance has %d paths, want 64", layered.NumPaths())
 	}
-	insts := map[string]*flow.Instance{"braess": braess(t), "layered": layered}
-	pols := map[string]func(float64) (policy.Policy, error){
-		"replicator": policy.Replicator,
-		"uniform":    policy.UniformLinear,
-	}
-	for _, tn := range []string{"braess", "layered"} {
-		inst := insts[tn]
-		for _, pn := range []string{"replicator", "uniform"} {
-			pol, err := pols[pn](inst.LMax())
+	for _, tc := range []struct {
+		name string
+		inst *flow.Instance
+	}{{"braess", braess(t)}, {"layered", layered}} {
+		inst := tc.inst
+		for _, pc := range []struct {
+			name string
+			mk   func(lmax float64) (policy.Policy, error)
+		}{{"replicator", policy.Replicator}, {"uniform", policy.UniformLinear}} {
+			pol, err := pc.mk(inst.LMax())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,16 +119,16 @@ func TestCountEngineGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pc := range []struct {
+			for _, tt := range []struct {
 				name string
 				T    float64
 			}{{"safe", safe}, {"0.05", 0.05}} {
-				key := tn + "/" + pn + "/" + pc.name
+				key := tc.name + "/" + pc.name + "/" + tt.name
 				s, err := New(inst, Config{
 					N:            1_000_000,
 					Policy:       pol,
-					UpdatePeriod: pc.T,
-					Horizon:      goldenPhases * pc.T,
+					UpdatePeriod: tt.T,
+					Horizon:      goldenPhases * tt.T,
 					Seed:         11,
 				})
 				if err != nil {
@@ -145,7 +146,7 @@ func TestCountEngineGoldens(t *testing.T) {
 				if res.Phases != want.phases {
 					t.Errorf("%s: Phases = %d, want %d", key, res.Phases, want.phases)
 				}
-				if got := s.Counts(); fmt.Sprint(got) != fmt.Sprint(want.counts) {
+				if got := s.Counts(); !slices.Equal(got, want.counts) {
 					t.Errorf("%s: counts = %v, want %v", key, got, want.counts)
 				}
 				if got := math.Float64bits(res.FinalPotential); got != want.phi {

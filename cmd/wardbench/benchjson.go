@@ -12,9 +12,9 @@ import (
 )
 
 // benchReport is the BENCH_kernel.json document: per-experiment wall time
-// and headline metric, the kernel-vs-reference micro benchmarks, and the
-// derived speedup ratios — the machine-readable perf trajectory tracked
-// across PRs (the CI uploads the file as an artifact).
+// and headline metric plus the kernel, scaling, serving, population and
+// dispatch suites — the machine-readable perf trajectory (the CI uploads
+// the file as an artifact).
 type benchReport struct {
 	// Schema versions the document shape.
 	Schema string `json:"schema"`
@@ -27,14 +27,11 @@ type benchReport struct {
 	GridN int `json:"gridN,omitempty"`
 	// Experiments holds one entry per experiment run in this invocation.
 	Experiments []expEntry `json:"experiments,omitempty"`
-	// Kernel holds the kernel-vs-reference measurements.
+	// Kernel holds the kernel suite's measurements.
 	Kernel []bench.Measurement `json:"kernel,omitempty"`
-	// Speedups maps workload prefix to reference-ns / kernel-ns.
-	Speedups map[string]float64 `json:"speedups,omitempty"`
 	// KernelScaling holds the kernelScaling suite: one row per instance
-	// size with reference/serial/parallel ns per full evaluation pass and
-	// the derived speedup and parallel-efficiency ratios (empty: suite
-	// skipped).
+	// size with serial/parallel ns per full evaluation pass and the derived
+	// parallel speedup and efficiency (empty: suite skipped).
 	KernelScaling []bench.ScalingMeasurement `json:"kernelScaling,omitempty"`
 	// Serve holds the serving-layer suite: per-request cost and derived
 	// requests/sec for cached vs uncached scenario requests.
@@ -150,7 +147,7 @@ func headline(id string, tbl *report.Table) (string, float64, bool) {
 }
 
 // writeBenchJSON assembles and writes the report. gridN > 0 runs the
-// kernel-vs-reference suite (a few benchmark-seconds per measurement);
+// kernel suite (a few benchmark-seconds per measurement);
 // scaleSizes is the edge counts for the kernelScaling suite (nil skips it);
 // withServe runs the serving-layer suite; loadClients the client counts of
 // the serveLoad ramp (nil skips it); withMeanfield the population-scaling
@@ -170,14 +167,6 @@ func writeBenchJSON(w io.Writer, gridN int, scaleSizes []int, withServe bool, lo
 			return fmt.Errorf("kernel suite: %w", err)
 		}
 		rep.Kernel = ms
-		rep.Speedups = map[string]float64{}
-		for _, prefix := range []string{"fluid/grid", "eval/grid", "delta/grid", "delta/links"} {
-			s, err := bench.Speedup(ms, prefix)
-			if err != nil {
-				return err
-			}
-			rep.Speedups[prefix] = s
-		}
 	}
 	if len(scaleSizes) > 0 {
 		sm, err := bench.ScalingSuite(scaleSizes)

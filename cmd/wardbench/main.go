@@ -35,8 +35,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("wardbench", flag.ContinueOnError)
 	expFlag := fs.String("exp", "all", "comma-separated experiment ids (e1..e12, ablation) or 'all'")
 	csvDir := fs.String("csv", "", "directory to write per-experiment CSV files (optional)")
-	benchJSON := fs.String("benchjson", "", "file to write machine-readable results (ns, allocs, headline metric per experiment plus kernel-vs-reference benchmarks)")
-	benchGrid := fs.Int("benchgrid", 6, "grid size for the kernel benchmark suite in -benchjson (0 skips the suite)")
+	benchJSON := fs.String("benchjson", "", "file to write machine-readable results (ns, allocs, headline metric per experiment plus the kernel, scaling, serving, population and dispatch suites)")
+	benchGrid := fs.Int("benchgrid", 6, "grid size for the kernel suite (fluid run, full and incremental evaluation) in -benchjson (0 skips the suite)")
 	benchScale := fs.String("benchscale", "", "comma-separated edge counts for the kernelScaling suite in -benchjson, e.g. 10000,30000,100000 (empty skips the suite)")
 	benchServe := fs.Bool("benchserve", true, "include the serving-layer suite (cached vs uncached scenario requests) in -benchjson")
 	benchLoad := fs.String("benchload", "1,2,4,8,16", "comma-separated client counts for the serveLoad ramp in -benchjson (empty skips the suite)")

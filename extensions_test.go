@@ -64,8 +64,8 @@ func TestParseInstanceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(inst.MaxSlope()-4) > 1e-12 {
-		t.Errorf("beta = %g", inst.MaxSlope())
+	if math.Abs(inst.Beta()-4) > 1e-12 {
+		t.Errorf("beta = %g", inst.Beta())
 	}
 	// The parsed kink instance reproduces the §3.2 oscillation.
 	f1, _, _ := wardrop.TwoLinkOscillation(4, 0.5, 0)

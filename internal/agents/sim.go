@@ -371,7 +371,7 @@ func syncEvaluator(ev *flow.Evaluator, curF flow.Vector, prevF []float64, change
 		}
 	}
 	*changed = cs
-	ev.Update(curF, cs)
+	ev.Refresh(curF, cs...)
 	copy(prevF, curF)
 }
 

@@ -13,10 +13,10 @@ import (
 
 // ScalingMeasurement is one size point of the kernelScaling suite: the full
 // evaluation pass (edge flows, edge latencies, path latencies, potential)
-// on a seeded sparse-random instance, measured three ways — the seed's
-// naive reference pipeline, the compiled kernel pinned to one worker, and
-// the kernel at its default parallelism — plus a Frank–Wolfe equilibrium
-// solve recorded as a cross-check that the instance is well-posed.
+// on a seeded sparse-random instance, measured two ways — the compiled
+// kernel pinned to one worker and at its default parallelism — plus a
+// Frank–Wolfe equilibrium solve recorded as a cross-check that the instance
+// is well-posed.
 type ScalingMeasurement struct {
 	// Family and Edges identify the workload; ActualEdges and Paths are the
 	// realised instance shape (the generator hits Edges exactly for
@@ -29,15 +29,11 @@ type ScalingMeasurement struct {
 	// (min(GOMAXPROCS, evaluator cap)); 1 on a single-core runner, where
 	// ParallelNs degenerates to SerialNs.
 	Workers int `json:"workers"`
-	// ReferenceNs, SerialNs and ParallelNs are ns per full evaluation pass.
-	ReferenceNs float64 `json:"referenceNs"`
-	SerialNs    float64 `json:"serialNs"`
-	ParallelNs  float64 `json:"parallelNs"`
-	// Speedup is ReferenceNs/ParallelNs — the headline "kernel vs seed"
-	// ratio, which must stay >= 1 at every size (the crossover heuristic's
-	// contract). ParSpeedup is SerialNs/ParallelNs and Efficiency is
+	// SerialNs and ParallelNs are ns per full evaluation pass.
+	SerialNs   float64 `json:"serialNs"`
+	ParallelNs float64 `json:"parallelNs"`
+	// ParSpeedup is SerialNs/ParallelNs and Efficiency is
 	// ParSpeedup/Workers.
-	Speedup    float64 `json:"speedup"`
 	ParSpeedup float64 `json:"parSpeedup"`
 	Efficiency float64 `json:"efficiency"`
 	// Equilibrium cross-check: the relative gap, Beckmann potential and
@@ -106,18 +102,6 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		f[q] += amt
 	}
 
-	fe := make([]float64, nE)
-	le := make([]float64, nE)
-	pl := make([]float64, nP)
-	m.ReferenceNs = measure(fmt.Sprintf("scale/%d/reference", edges), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			inst.EdgeFlows(f, fe)
-			inst.EdgeLatencies(fe, le)
-			inst.PathLatenciesFromEdges(le, pl)
-			_ = inst.PotentialFromEdges(fe)
-		}
-	}).NsPerOp
-
 	evS := flow.NewEvaluator(inst, nil)
 	evS.SetParallelism(1)
 	m.SerialNs = measure(fmt.Sprintf("scale/%d/serial", edges), func(b *testing.B) {
@@ -136,7 +120,6 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		}
 	}).NsPerOp
 
-	m.Speedup = m.ReferenceNs / m.ParallelNs
 	m.ParSpeedup = m.SerialNs / m.ParallelNs
 	m.Efficiency = m.ParSpeedup / float64(m.Workers)
 

@@ -34,37 +34,55 @@ func (a PhaseAccount) Lemma4Holds(tol float64) bool {
 // Attach it to a run (compose it with other observers through
 // MultiObserver); after the run Accounts holds one entry per completed
 // phase transition. It never stops the run.
+//
+// The Eq. 7/8 terms are read off the accountant's own Evaluator and the
+// edge state it kept from the previous phase start, so observing a phase
+// allocates nothing beyond the Accounts append.
 type Accountant struct {
-	inst     *flow.Instance
-	prev     flow.Vector
-	prevPhi  float64
-	havePrev bool
+	ev *flow.Evaluator
+	// Edge flows f̂_e, latencies ℓ_e(f̂_e) and potential terms
+	// ∫₀^{f̂_e} ℓ_e(u) du at the previous phase start.
+	prevFlow, prevLat, prevInt []float64
+	prevPhi                    float64
+	havePrev                   bool
 	// Accounts holds the per-phase bookkeeping in phase order.
 	Accounts []PhaseAccount
 }
 
 // NewAccountant creates an accountant for the given instance.
 func NewAccountant(inst *flow.Instance) *Accountant {
-	return &Accountant{inst: inst}
+	nE := inst.Graph().NumEdges()
+	return &Accountant{
+		ev:       flow.NewEvaluator(inst, nil),
+		prevFlow: make([]float64, nE),
+		prevLat:  make([]float64, nE),
+		prevInt:  make([]float64, nE),
+	}
 }
 
-// ObservePhase books the transition from the previous phase start to this
-// one and snapshots the current state.
+// ObservePhase books the transition from the previous phase start f̂ to
+// this one f — U_e = ∫_{f̂_e}^{f_e} ℓ_e(u) du − ℓ_e(f̂_e)·(f_e − f̂_e)
+// (Eq. 7) and V = Σ_e ℓ_e(f̂_e)·(f_e − f̂_e) (Eq. 8) — and snapshots the
+// current edge state.
 func (a *Accountant) ObservePhase(info PhaseInfo) bool {
+	a.ev.Eval(info.Flow)
+	fe, fi := a.ev.EdgeFlows(), a.ev.EdgeIntegrals()
 	if a.havePrev {
-		u := a.inst.ErrorTerms(a.prev, info.Flow)
-		sumU := 0.0
-		for _, x := range u {
-			sumU += x
+		sumU, v := 0.0, 0.0
+		for e := range fe {
+			sumU += fi[e] - a.prevInt[e] - a.prevLat[e]*(fe[e]-a.prevFlow[e])
+			v += a.prevLat[e] * (fe[e] - a.prevFlow[e])
 		}
 		a.Accounts = append(a.Accounts, PhaseAccount{
 			Phase:       info.Index - 1,
 			DeltaPhi:    info.Potential - a.prevPhi,
-			VirtualGain: a.inst.VirtualGain(a.prev, info.Flow),
+			VirtualGain: v,
 			ErrorSum:    sumU,
 		})
 	}
-	a.prev = info.Flow.Clone()
+	copy(a.prevFlow, fe)
+	copy(a.prevLat, a.ev.EdgeLatencies())
+	copy(a.prevInt, fi)
 	a.prevPhi = info.Potential
 	a.havePrev = true
 	return false

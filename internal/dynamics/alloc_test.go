@@ -110,3 +110,28 @@ func TestLayeredRandomSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("fluid layered: %g allocations per 100 extra phases, want 0", extra)
 	}
 }
+
+// The Accountant reads the Eq. 7/8 terms off its own Evaluator and the edge
+// state kept from the previous phase, so a steady-state phase allocates
+// nothing once Accounts has room for the append.
+func TestAccountantObservePhaseAllocationFree(t *testing.T) {
+	inst := mustBraess(t)
+	acct := NewAccountant(inst)
+	f := inst.UniformFlow()
+	info := PhaseInfo{Flow: f, Potential: inst.Potential(f)}
+	acct.ObservePhase(info)
+	acct.Accounts = make([]PhaseAccount, 0, 256)
+	lo, _ := inst.CommodityRange(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		info.Index++
+		f[lo] += 1e-3
+		f[lo+1] -= 1e-3
+		acct.ObservePhase(info)
+	})
+	if allocs != 0 {
+		t.Fatalf("ObservePhase: %g allocations per phase, want 0", allocs)
+	}
+	if len(acct.Accounts) != 101 {
+		t.Fatalf("booked %d phases, want 101", len(acct.Accounts))
+	}
+}

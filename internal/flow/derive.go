@@ -45,18 +45,7 @@ func (in *Instance) Derive(lats []latency.Function, demandScale []float64) (*Ins
 		totalPaths:  in.totalPaths,
 		maxPathLen:  in.maxPathLen,
 	}
-	for _, paths := range d.paths {
-		for _, p := range paths {
-			sum := 0.0
-			for _, e := range p.Edges {
-				sum += d.latencies[e].Value(1)
-			}
-			d.lmax = math.Max(d.lmax, sum)
-		}
-	}
-	for _, f := range d.latencies {
-		d.maxSlope = math.Max(d.maxSlope, f.SlopeBound())
-	}
+	d.computeBounds()
 	// The incidence depends only on the shared path sets, so the parent's
 	// compiled form is reused; only the latency program differs. Seeding both
 	// eagerly (and burning the once) keeps the lazy-kernel contract intact.

@@ -4,13 +4,13 @@
 // the Beckmann–McGuire–Winsten potential, per-commodity minimum and average
 // latencies, and the (δ,ε)- and weak (δ,ε)-equilibrium metrics of §5.
 //
-// Two evaluation paths compute those measurements: the naive per-method
-// reference implementation (EdgeFlows, EdgeLatencies,
-// PathLatenciesFromEdges, PotentialFromEdges — the differential-testing
-// oracle) and the compiled kernel (kernel.go: CSR incidence, Evaluator,
-// Workspace) every simulation engine runs on, which produces bit-identical
-// values with batch latency kernels, zero steady-state allocation and
-// incremental updates after sparse flow moves.
+// One evaluation path computes edge flows, edge and path latencies and the
+// potential: the compiled kernel (kernel.go: CSR incidence, Evaluator,
+// Workspace), with batch latency kernels, zero steady-state allocation and
+// incremental updates after sparse flow moves. Every engine, the solver and
+// the convenience methods (PathLatencies, Potential, AtWardropEquilibrium)
+// run on it. The naive per-quantity reference evaluator survives only in
+// the package's test files, as the oracle the kernel must match bit for bit.
 package flow
 
 import (
@@ -143,20 +143,26 @@ func NewInstance(g *graph.Graph, lats []latency.Function, comms []Commodity, opt
 		}
 	}
 	inst.offsets[len(comms)] = inst.totalPaths
+	inst.computeBounds()
+	return inst, nil
+}
 
-	for _, paths := range inst.paths {
+// computeBounds sets the latency-dependent invariants from the instance's
+// path sets and functions: ℓmax = max_P Σ_{e∈P} ℓ_e(1) and β, the maximum
+// slope bound of any edge latency function.
+func (in *Instance) computeBounds() {
+	for _, paths := range in.paths {
 		for _, p := range paths {
 			sum := 0.0
 			for _, e := range p.Edges {
-				sum += lats[e].Value(1)
+				sum += in.latencies[e].Value(1)
 			}
-			inst.lmax = math.Max(inst.lmax, sum)
+			in.lmax = math.Max(in.lmax, sum)
 		}
 	}
-	for _, f := range lats {
-		inst.maxSlope = math.Max(inst.maxSlope, f.SlopeBound())
+	for _, f := range in.latencies {
+		in.maxSlope = math.Max(in.maxSlope, f.SlopeBound())
 	}
-	return inst, nil
 }
 
 // Graph returns the underlying network.
@@ -214,8 +220,9 @@ func (in *Instance) Path(g int) graph.Path {
 // MaxPathLen returns D, the maximum number of edges of any enumerated path.
 func (in *Instance) MaxPathLen() int { return in.maxPathLen }
 
-// MaxSlope returns β, the maximum slope bound of any edge latency function.
-func (in *Instance) MaxSlope() float64 { return in.maxSlope }
+// Beta returns β, the maximum slope bound of any edge latency function (the
+// paper's notation).
+func (in *Instance) Beta() float64 { return in.maxSlope }
 
 // LMax returns ℓmax, the paper's upper bound on any path latency:
 // max_P Σ_{e∈P} ℓ_e(1).

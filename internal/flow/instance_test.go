@@ -87,8 +87,8 @@ func TestNewInstanceBasics(t *testing.T) {
 	if inst.MaxPathLen() != 1 {
 		t.Errorf("D = %d, want 1", inst.MaxPathLen())
 	}
-	if !approx(inst.MaxSlope(), 1, 1e-15) {
-		t.Errorf("beta = %g, want 1", inst.MaxSlope())
+	if !approx(inst.Beta(), 1, 1e-15) {
+		t.Errorf("beta = %g, want 1", inst.Beta())
 	}
 	// lmax = max(ℓ1(1), ℓ2(1)) = max(1,1) = 1
 	if !approx(inst.LMax(), 1, 1e-15) {
@@ -97,7 +97,7 @@ func TestNewInstanceBasics(t *testing.T) {
 	if !approx(inst.TotalDemand(), 1, 1e-15) {
 		t.Errorf("demand = %g", inst.TotalDemand())
 	}
-	if inst.Beta() != inst.MaxSlope() {
+	if inst.Beta() != inst.maxSlope {
 		t.Error("Beta alias mismatch")
 	}
 }

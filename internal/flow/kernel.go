@@ -14,15 +14,16 @@ import (
 // consistent with a flow vector — by full re-evaluation or by incremental
 // updates that touch only the edges and paths a flow move actually affects.
 //
-// The kernel is numerically transparent: every quantity it produces is
-// bit-for-bit the value the naive reference methods (EdgeFlows,
-// EdgeLatencies, PathLatenciesFromEdges, PotentialFromEdges) produce for the
-// same flow. Full evaluation preserves the reference accumulation orders;
-// incremental updates recompute each touched edge flow by rescanning its
-// path list in ascending global-path order — the exact addition sequence of
-// the full pass — so a delta-updated Evaluator never drifts from a freshly
-// evaluated one. The reference methods stay as the differential-testing
-// oracle.
+// It is the package's one evaluation path. Its numerics are those of the
+// definitions: every quantity is bit-for-bit the value a naive per-edge,
+// per-path evaluation produces for the same flow (edge flows accumulated in
+// ascending global-path order skipping zero flows, path latencies summed in
+// path-edge order, the potential summed in edge order). Incremental updates
+// recompute each touched edge flow by rescanning its path list in ascending
+// global-path order — the exact addition sequence of the full pass — so a
+// delta-updated Evaluator never drifts from a freshly evaluated one. The
+// naive evaluator itself lives in the package's test files, as the
+// differential-testing oracle.
 
 // incidence is the CSR form of the instance's path sets: a forward
 // path→edges layout plus the reverse edge→paths index incremental updates
@@ -190,7 +191,7 @@ type Evaluator struct {
 	epoch     int32
 	touched   []int32
 	evaluated bool
-	// potValid tracks whether edgeInt matches edgeFlow; Potential
+	// potValid tracks whether edgeInt matches edgeFlow; EdgeIntegrals
 	// materializes the per-edge integral terms lazily and Refresh keeps
 	// them current once materialized, so runs that never ask for the
 	// potential never pay for it.
@@ -321,12 +322,30 @@ func (ev *Evaluator) Instance() *Instance { return ev.inst }
 // evalParallel for the argument — so the crossover is purely a performance
 // decision.
 func (ev *Evaluator) Eval(f Vector) {
+	ev.eval(f)
+	ev.evaluated = true
+}
+
+// EvalEdgeFlows fully re-evaluates edge latencies and path latencies from
+// edge flows fe the caller maintains itself (copied into the evaluator, so
+// EdgeFlows and Potential describe them too) — the second half of Eval, for
+// callers whose iterates are defined by their own edge-flow updates. No
+// path flow backs the result, so a following Refresh re-evaluates in full.
+func (ev *Evaluator) EvalEdgeFlows(fe []float64) {
+	copy(ev.edgeFlow, fe)
+	ev.eval(nil)
+	ev.evaluated = false
+}
+
+// eval is the full pass behind Eval and EvalEdgeFlows: edge flows from f
+// (nil: the edge flows are already in place), then edge latencies and path
+// latencies.
+func (ev *Evaluator) eval(f Vector) {
 	if ev.parallelEval() {
 		ev.evalParallel(f)
 	} else {
 		ev.evalSerial(f)
 	}
-	ev.evaluated = true
 	ev.potValid = false
 }
 
@@ -334,18 +353,20 @@ func (ev *Evaluator) evalSerial(f Vector) {
 	pathEdges := ev.inc.pathEdges
 	pathStart := ev.inc.pathStart
 	edgeFlow := ev.edgeFlow
-	for e := range edgeFlow {
-		edgeFlow[e] = 0
-	}
-	// Ascending global path order with zero-flow paths skipped — the
-	// reference EdgeFlows accumulation sequence.
-	for g := range f {
-		fp := f[g]
-		if fp == 0 {
-			continue
+	if f != nil {
+		for e := range edgeFlow {
+			edgeFlow[e] = 0
 		}
-		for _, e := range pathEdges[pathStart[g]:pathStart[g+1]] {
-			edgeFlow[e] += fp
+		// Ascending global path order with zero-flow paths skipped — the
+		// reference accumulation sequence.
+		for g := range f {
+			fp := f[g]
+			if fp == 0 {
+				continue
+			}
+			for _, e := range pathEdges[pathStart[g]:pathStart[g+1]] {
+				edgeFlow[e] += fp
+			}
 		}
 	}
 	ev.prog.Values(edgeFlow, ev.edgeLat)
@@ -362,9 +383,10 @@ func (ev *Evaluator) evalSerial(f Vector) {
 
 // evalParallel is the chunked full pass. Phase 1 fans out over disjoint
 // edge ranges: each worker computes its edges' flows by a gather over the
-// reverse index and batch-evaluates their latencies via ValuesRange. Phase
-// 2 (after a barrier — path sums read edge latencies across chunk
-// boundaries) fans out over disjoint path ranges summing path latencies.
+// reverse index (unless f is nil and the flows are already in place) and
+// batch-evaluates their latencies via ValuesRange. Phase 2 (after a
+// barrier — path sums read edge latencies across chunk boundaries) fans
+// out over disjoint path ranges summing path latencies.
 //
 // Bit-identity with evalSerial: the gather iterates edge e's path list in
 // ascending global order skipping zero flows — exactly the per-edge
@@ -387,14 +409,16 @@ func (ev *Evaluator) evalParallel(f Vector) {
 		go func(e0, e1 int32) {
 			defer wg.Done()
 			edgeFlow := ev.edgeFlow
-			for e := e0; e < e1; e++ {
-				sum := 0.0
-				for _, g := range inc.edgePaths[inc.edgeStart[e]:inc.edgeStart[e+1]] {
-					if fp := f[g]; fp != 0 {
-						sum += fp
+			if f != nil {
+				for e := e0; e < e1; e++ {
+					sum := 0.0
+					for _, g := range inc.edgePaths[inc.edgeStart[e]:inc.edgeStart[e+1]] {
+						if fp := f[g]; fp != 0 {
+							sum += fp
+						}
 					}
+					edgeFlow[e] = sum
 				}
-				edgeFlow[e] = sum
 			}
 			ev.prog.ValuesRange(edgeFlow, ev.edgeLat, e0, e1)
 		}(e0, e1)
@@ -543,13 +567,6 @@ func (ev *Evaluator) fullRefresh(f Vector, changed []int) {
 	ev.potValid = true
 }
 
-// Update re-evaluates after the caller changed f on the given global
-// paths. The incremental-vs-full cost gate now lives in Refresh itself, so
-// Update is a thin alias kept for callers holding a slice.
-func (ev *Evaluator) Update(f Vector, changed []int) {
-	ev.Refresh(f, changed...)
-}
-
 // EdgeFlows returns the current per-edge flows (a live view).
 func (ev *Evaluator) EdgeFlows() []float64 { return ev.edgeFlow }
 
@@ -560,10 +577,20 @@ func (ev *Evaluator) EdgeLatencies() []float64 { return ev.edgeLat }
 func (ev *Evaluator) PathLatencies() []float64 { return ev.pathLat }
 
 // Potential returns Φ(f) for the last evaluated flow: the per-edge
-// integral terms (materialized lazily on first use, then kept current by
-// Refresh) summed in edge order — the reference PotentialFromEdges
-// summation sequence.
+// integral terms (see EdgeIntegrals) summed in edge order.
 func (ev *Evaluator) Potential() float64 {
+	phi := 0.0
+	for _, v := range ev.EdgeIntegrals() {
+		phi += v
+	}
+	return phi
+}
+
+// EdgeIntegrals returns the per-edge potential terms ∫₀^{f_e} ℓ_e(u) du of
+// the last evaluated flow (a live view). They are materialized lazily on
+// first use and then kept current by Refresh, so runs that never ask for
+// the potential never pay for them.
+func (ev *Evaluator) EdgeIntegrals() []float64 {
 	if !ev.potValid {
 		if ev.parallelEval() {
 			ev.ensureChunks()
@@ -585,17 +612,12 @@ func (ev *Evaluator) Potential() float64 {
 		}
 		ev.potValid = true
 	}
-	phi := 0.0
-	for _, v := range ev.edgeInt {
-		phi += v
-	}
-	return phi
+	return ev.edgeInt
 }
 
 // BestResponseInto writes the all-or-nothing best response to pathLat into
-// b (the reference BestResponse without its allocation): each commodity's
-// demand routes entirely onto its minimum-latency path, ties towards the
-// lowest global index.
+// b: each commodity's demand routes entirely onto its minimum-latency path,
+// ties towards the lowest global index.
 func (in *Instance) BestResponseInto(pathLat []float64, b Vector) {
 	for g := range b {
 		b[g] = 0

@@ -173,6 +173,37 @@ func TestEvaluatorFullMatchesReference(t *testing.T) {
 	}
 }
 
+// EvalEdgeFlows is Eval's second half on caller-held edge flows: serial
+// and parallel, it must reproduce the reference latencies and potential of
+// those flows, and since no path flow backs them, the next Refresh must
+// re-evaluate in full.
+func TestEvalEdgeFlowsSerialAndParallelMatchReference(t *testing.T) {
+	for name, inst := range kernelInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := &topo.SplitMix{State: 5}
+			for _, workers := range []int{1, 3} {
+				ev := flow.NewEvaluator(inst, nil)
+				ev.SetParallelism(workers)
+				for trial := 0; trial < 10; trial++ {
+					f := randomFlow(inst, rng)
+					fe, le, pl, phi := reference(inst, f)
+					ev.EvalEdgeFlows(fe)
+					mustEqualBits(t, "edge flows", ev.EdgeFlows(), fe)
+					mustEqualBits(t, "edge latencies", ev.EdgeLatencies(), le)
+					mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
+					if math.Float64bits(ev.Potential()) != math.Float64bits(phi) {
+						t.Fatalf("potential: got %v, want %v", ev.Potential(), phi)
+					}
+					g := randomFlow(inst, rng)
+					ev.Refresh(g, 0)
+					_, _, pl, _ = reference(inst, g)
+					mustEqualBits(t, "path latencies after Refresh", ev.PathLatencies(), pl)
+				}
+			}
+		})
+	}
+}
+
 func TestEvaluatorIncrementalMatchesReference(t *testing.T) {
 	for name, inst := range kernelInstances(t) {
 		t.Run(name, func(t *testing.T) {
@@ -216,14 +247,14 @@ func TestEvaluatorUpdateFallback(t *testing.T) {
 	ev := flow.NewEvaluator(inst, nil)
 	f := inst.UniformFlow()
 	ev.Eval(f)
-	// Change every path at once: Update must take the full-eval fallback
+	// Change every path at once: Refresh must take the full-eval fallback
 	// and still agree with the reference.
 	changed := make([]int, inst.NumPaths())
 	for g := range f {
 		changed[g] = g
 		f[g] = rng.Float64()
 	}
-	ev.Update(f, changed)
+	ev.Refresh(f, changed...)
 	_, _, pl, phi := reference(inst, f)
 	mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
 	if math.Float64bits(ev.Potential()) != math.Float64bits(phi) {

@@ -4,67 +4,13 @@ import (
 	"math"
 )
 
-// EdgeFlows computes per-edge flows f_e = Σ_{P∋e} f_P. If out is non-nil and
-// correctly sized it is reused, otherwise a new slice is allocated.
-func (in *Instance) EdgeFlows(f Vector, out []float64) []float64 {
-	if out == nil || len(out) != in.g.NumEdges() {
-		out = make([]float64, in.g.NumEdges())
-	} else {
-		for e := range out {
-			out[e] = 0
-		}
-	}
-	for i := range in.commodities {
-		lo, hi := in.CommodityRange(i)
-		for g := lo; g < hi; g++ {
-			fp := f[g]
-			if fp == 0 {
-				continue
-			}
-			for _, e := range in.paths[i][g-lo].Edges {
-				out[e] += fp
-			}
-		}
-	}
-	return out
-}
-
-// EdgeLatencies evaluates ℓ_e(f_e) for the given edge flows.
-func (in *Instance) EdgeLatencies(edgeFlows []float64, out []float64) []float64 {
-	if out == nil || len(out) != len(edgeFlows) {
-		out = make([]float64, len(edgeFlows))
-	}
-	for e, fe := range edgeFlows {
-		out[e] = in.latencies[e].Value(fe)
-	}
-	return out
-}
-
-// PathLatenciesFromEdges computes ℓ_P = Σ_{e∈P} ℓ_e for all paths given edge
-// latencies.
-func (in *Instance) PathLatenciesFromEdges(edgeLat []float64, out []float64) []float64 {
-	if out == nil || len(out) != in.totalPaths {
-		out = make([]float64, in.totalPaths)
-	}
-	for i := range in.commodities {
-		lo, hi := in.CommodityRange(i)
-		for g := lo; g < hi; g++ {
-			sum := 0.0
-			for _, e := range in.paths[i][g-lo].Edges {
-				sum += edgeLat[e]
-			}
-			out[g] = sum
-		}
-	}
-	return out
-}
-
-// PathLatencies computes all path latencies induced by flow f (allocating
-// scratch buffers; use the FromEdges variants in hot loops).
+// PathLatencies computes all path latencies induced by flow f with one
+// full Evaluator pass (allocating a private evaluator; engines and other hot
+// loops hold their own Evaluator instead).
 func (in *Instance) PathLatencies(f Vector) []float64 {
-	fe := in.EdgeFlows(f, nil)
-	le := in.EdgeLatencies(fe, nil)
-	return in.PathLatenciesFromEdges(le, nil)
+	ev := NewEvaluator(in, nil)
+	ev.Eval(f)
+	return ev.PathLatencies()
 }
 
 // MinLatency returns the minimum path latency ℓ^i_min of commodity i and the
@@ -174,64 +120,12 @@ func (in *Instance) AtWardropEquilibrium(f Vector, tol float64) bool {
 }
 
 // Potential evaluates the Beckmann–McGuire–Winsten potential
-// Φ(f) = Σ_e ∫₀^{f_e} ℓ_e(u) du.
+// Φ(f) = Σ_e ∫₀^{f_e} ℓ_e(u) du with one full Evaluator pass.
 func (in *Instance) Potential(f Vector) float64 {
-	fe := in.EdgeFlows(f, nil)
-	return in.PotentialFromEdges(fe)
+	ev := NewEvaluator(in, nil)
+	ev.Eval(f)
+	return ev.Potential()
 }
-
-// PotentialFromEdges evaluates Φ given precomputed edge flows.
-func (in *Instance) PotentialFromEdges(edgeFlows []float64) float64 {
-	phi := 0.0
-	for e, fe := range edgeFlows {
-		phi += in.latencies[e].Integral(fe)
-	}
-	return phi
-}
-
-// VirtualGain computes the paper's virtual potential gain (Eq. 8) of a phase
-// moving the flow from fHat to f while the board shows latencies ℓ(f̂):
-// V(f̂,f) = Σ_e ℓ_e(f̂_e)·(f_e − f̂_e).
-func (in *Instance) VirtualGain(fHat, f Vector) float64 {
-	feHat := in.EdgeFlows(fHat, nil)
-	fe := in.EdgeFlows(f, nil)
-	leHat := in.EdgeLatencies(feHat, nil)
-	v := 0.0
-	for e := range fe {
-		v += leHat[e] * (fe[e] - feHat[e])
-	}
-	return v
-}
-
-// ErrorTerms computes the paper's per-edge error terms (Eq. 7)
-// U_e = ∫_{f̂_e}^{f_e} (ℓ_e(u) − ℓ_e(f̂_e)) du, which together with the
-// virtual gain reconstruct the true potential change (Lemma 3).
-func (in *Instance) ErrorTerms(fHat, f Vector) []float64 {
-	feHat := in.EdgeFlows(fHat, nil)
-	fe := in.EdgeFlows(f, nil)
-	out := make([]float64, len(fe))
-	for e := range fe {
-		lHat := in.latencies[e].Value(feHat[e])
-		out[e] = in.latencies[e].Integral(fe[e]) - in.latencies[e].Integral(feHat[e]) -
-			lHat*(fe[e]-feHat[e])
-	}
-	return out
-}
-
-// BestResponse returns the all-or-nothing flow that routes each commodity
-// entirely on its minimum-latency path under the given path latencies, with
-// ties broken towards the lowest global index.
-func (in *Instance) BestResponse(pathLat []float64) Vector {
-	b := make(Vector, in.totalPaths)
-	for i := range in.commodities {
-		idx, _ := in.MinLatency(i, pathLat)
-		b[idx] = in.commodities[i].Demand
-	}
-	return b
-}
-
-// Beta is a convenience alias for MaxSlope matching the paper's notation.
-func (in *Instance) Beta() float64 { return in.MaxSlope() }
 
 // Gap returns Φ(f) − Φ*, clamped at 0 to absorb round-off when f is at the
 // optimum.

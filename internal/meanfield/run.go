@@ -58,7 +58,7 @@ func (s *Sim) RunContext(ctx context.Context) (*dynamics.Result, error) {
 			}
 		}
 		changed = cs
-		ev.Update(curF, cs)
+		ev.Refresh(curF, cs...)
 		copy(prevF, curF)
 	}
 	finish := func(t float64) *dynamics.Result {

@@ -72,22 +72,22 @@ func SolveEquilibrium(inst *flow.Instance, opts Options) (*Result, error) {
 	opts.defaults()
 	f := inst.UniformFlow()
 	n := inst.NumPaths()
-	nEdges := inst.Graph().NumEdges()
-	var (
-		fe = inst.EdgeFlows(f, nil)
-		le = make([]float64, nEdges)
-		pl = make([]float64, n)
-	)
+	// The iterates are defined by fe, the edge flows updated move by move
+	// below; the evaluator turns them into latencies (pl is its live view).
+	ev := flow.NewEvaluator(inst, nil)
+	ev.Eval(f)
+	fe := append([]float64(nil), ev.EdgeFlows()...)
+	pl := ev.PathLatencies()
+	y := make(flow.Vector, n)
 	res := &Result{}
 	const usedTol = 1e-15
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		res.Iters = iter + 1
-		inst.EdgeLatencies(fe, le)
-		inst.PathLatenciesFromEdges(le, pl)
+		ev.EvalEdgeFlows(fe)
 
 		// Duality gap of the all-or-nothing assignment y:
 		// gap = Σ_P (f_P − y_P)·ℓ_P = L(f) − Σ_i r_i·ℓ^i_min ≥ Φ(f) − Φ*.
-		y := inst.BestResponse(pl)
+		inst.BestResponseInto(pl, y)
 		gap := 0.0
 		total := 0.0
 		for g := 0; g < n; g++ {
@@ -107,8 +107,7 @@ func SolveEquilibrium(inst *flow.Instance, opts Options) (*Result, error) {
 		for i := 0; i < inst.NumCommodities(); i++ {
 			lo, hi := inst.CommodityRange(i)
 			// Refresh latencies for this commodity (fe mutates as we go).
-			inst.EdgeLatencies(fe, le)
-			inst.PathLatenciesFromEdges(le, pl)
+			ev.EvalEdgeFlows(fe)
 			best, worst := lo, -1
 			for g := lo; g < hi; g++ {
 				if pl[g] < pl[best] {
@@ -141,7 +140,8 @@ func SolveEquilibrium(inst *flow.Instance, opts Options) (*Result, error) {
 	}
 	inst.Project(f, 1e-12)
 	res.Flow = f
-	res.Potential = inst.Potential(f)
+	ev.Eval(f)
+	res.Potential = ev.Potential()
 	if res.RelGap > opts.RelGapTol {
 		return res, fmt.Errorf("%w: relative gap %g after %d iters", ErrNotConverged, res.RelGap, res.Iters)
 	}
@@ -212,11 +212,10 @@ func SolveSocialOptimum(inst *flow.Instance, opts Options) (*Result, error) {
 	for e := 0; e < g.NumEdges(); e++ {
 		marginal[e] = latency.Marginal{F: inst.Latency(graph.EdgeID(e))}
 	}
-	comms := make([]flow.Commodity, inst.NumCommodities())
-	for i := range comms {
-		comms[i] = inst.Commodity(i)
-	}
-	minst, err := flow.NewInstance(g, marginal, comms, flow.WithMaxPathLen(inst.MaxPathLen()))
+	// Derive keeps the strategy space: the optimum is solved over exactly
+	// the instance's path sets (k-shortest ones included), not a fresh
+	// enumeration of the graph.
+	minst, err := inst.Derive(marginal, nil)
 	if err != nil {
 		return nil, fmt.Errorf("solver: marginal instance: %w", err)
 	}

@@ -131,8 +131,8 @@ func TestParsedInstanceMatchesLibraryPigou(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same structure as the library's Pigou builder.
-	if inst.LMax() != 1 || inst.MaxSlope() != 1 || inst.MaxPathLen() != 1 {
-		t.Errorf("lmax=%g beta=%g D=%d", inst.LMax(), inst.MaxSlope(), inst.MaxPathLen())
+	if inst.LMax() != 1 || inst.Beta() != 1 || inst.MaxPathLen() != 1 {
+		t.Errorf("lmax=%g beta=%g D=%d", inst.LMax(), inst.Beta(), inst.MaxPathLen())
 	}
 	var _ latency.Function = inst.Latency(0)
 }

@@ -1,11 +1,14 @@
 package tntp_test
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
+	"wardrop/internal/flow"
 	"wardrop/internal/solver"
 	"wardrop/internal/tntp"
+	"wardrop/internal/topo"
 )
 
 // The published best-known Sioux Falls user equilibrium: total system
@@ -27,8 +30,9 @@ func TestSiouxFallsEquilibriumObjective(t *testing.T) {
 	if res.RelGap > 1e-6 {
 		t.Fatalf("solver did not converge: relGap %g after %d iters", res.RelGap, res.Iters)
 	}
-	fe := inst.EdgeFlows(res.Flow, nil)
-	le := inst.EdgeLatencies(fe, nil)
+	ev := flow.NewEvaluator(inst, nil)
+	ev.Eval(res.Flow)
+	fe, le := ev.EdgeFlows(), ev.EdgeLatencies()
 	tstt := 0.0
 	for e := range fe {
 		tstt += fe[e] * le[e]
@@ -46,4 +50,58 @@ func TestSiouxFallsEquilibriumObjective(t *testing.T) {
 	if avg := tstt / inst.TotalDemand(); math.Abs(avg-20.74) > 0.2 {
 		t.Errorf("average trip time = %.3f min, want ≈ 20.74", avg)
 	}
+}
+
+// The social optimum must be solved over the instance's own strategy space:
+// on the k-shortest-path families (sparse-random, scalefree, tntp) a fresh
+// enumeration of the graph's simple paths is a different, larger space, so
+// the optimum's flow would not even index the instance's paths and the
+// price of anarchy could drop below 1. Every file-free catalog family is
+// checked at the wardeq default size (m = 8), the k-shortest ones also at
+// m = 200, plus Sioux Falls.
+func TestSocialOptimumKeepsStrategySpace(t *testing.T) {
+	check := func(name string, inst *flow.Instance, opts solver.Options) {
+		t.Helper()
+		opt, err := solver.SolveSocialOptimum(inst, opts)
+		if err != nil {
+			t.Fatalf("%s: social optimum: %v", name, err)
+		}
+		if len(opt.Flow) != inst.NumPaths() {
+			t.Errorf("%s: optimum has %d path flows, instance has %d paths", name, len(opt.Flow), inst.NumPaths())
+		}
+		poa, _, _, err := solver.PriceOfAnarchy(inst, opts)
+		if err != nil {
+			t.Fatalf("%s: price of anarchy: %v", name, err)
+		}
+		if !(poa >= 1-1e-9) {
+			t.Errorf("%s: price of anarchy %g < 1", name, poa)
+		}
+	}
+	for _, family := range topo.Catalog.Names() {
+		if family == "tntp" || family == "custom" {
+			continue // file- or document-backed; Sioux Falls stands in below
+		}
+		sizes := []int{8}
+		if family == "sparse-random" || family == "scalefree" {
+			sizes = append(sizes, 200)
+		}
+		for _, size := range sizes {
+			args, _ := json.Marshal(map[string]any{"size": size, "beta": 4})
+			b, err := topo.Catalog.Build(family, args)
+			if err != nil {
+				t.Fatalf("%s: %v", family, err)
+			}
+			inst, err := b.New(1)
+			if err != nil {
+				t.Fatalf("%s: %v", b.Key, err)
+			}
+			check(b.Key, inst, solver.Options{})
+		}
+	}
+	sf, err := tntp.Load("testdata/siouxfalls_net.tntp", "testdata/siouxfalls_trips.tntp",
+		tntp.Options{KPaths: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("tntp(siouxfalls,k=8)", sf, solver.Options{MaxIters: 5000, RelGapTol: 1e-4})
 }

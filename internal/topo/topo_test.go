@@ -32,8 +32,8 @@ func TestLinearParallelLinks(t *testing.T) {
 		if inst.NumPaths() != m {
 			t.Errorf("m=%d: paths=%d", m, inst.NumPaths())
 		}
-		if inst.MaxSlope() >= 2 || inst.MaxSlope() < 1 {
-			t.Errorf("m=%d: beta=%g outside [1,2)", m, inst.MaxSlope())
+		if inst.Beta() >= 2 || inst.Beta() < 1 {
+			t.Errorf("m=%d: beta=%g outside [1,2)", m, inst.Beta())
 		}
 	}
 	if _, err := LinearParallelLinks(1); !errors.Is(err, ErrBadParam) {
@@ -49,8 +49,8 @@ func TestTwoLinkKink(t *testing.T) {
 	if inst.NumPaths() != 2 {
 		t.Fatalf("paths = %d", inst.NumPaths())
 	}
-	if math.Abs(inst.MaxSlope()-4) > 1e-12 {
-		t.Errorf("beta = %g, want 4", inst.MaxSlope())
+	if math.Abs(inst.Beta()-4) > 1e-12 {
+		t.Errorf("beta = %g, want 4", inst.Beta())
 	}
 	// Split evenly: both latencies zero -> Wardrop equilibrium.
 	if !inst.AtWardropEquilibrium(inst.UniformFlow(), 1e-9) {

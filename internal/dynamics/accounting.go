@@ -70,8 +70,9 @@ func (a *Accountant) ObservePhase(info PhaseInfo) bool {
 	if a.havePrev {
 		sumU, v := 0.0, 0.0
 		for e := range fe {
-			sumU += fi[e] - a.prevInt[e] - a.prevLat[e]*(fe[e]-a.prevFlow[e])
-			v += a.prevLat[e] * (fe[e] - a.prevFlow[e])
+			d := fe[e] - a.prevFlow[e]
+			sumU += fi[e] - a.prevInt[e] - a.prevLat[e]*d
+			v += a.prevLat[e] * d
 		}
 		a.Accounts = append(a.Accounts, PhaseAccount{
 			Phase:       info.Index - 1,

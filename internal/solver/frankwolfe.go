@@ -74,7 +74,11 @@ func SolveEquilibrium(inst *flow.Instance, opts Options) (*Result, error) {
 	n := inst.NumPaths()
 	// The iterates are defined by fe, the edge flows updated move by move
 	// below; the evaluator turns them into latencies (pl is its live view).
+	// It runs serially: every pass here sits between serial line searches,
+	// and on Sioux Falls (k = 8) the parallel fan-out cost more wall and
+	// CPU time than it saved on two cores.
 	ev := flow.NewEvaluator(inst, nil)
+	ev.SetParallelism(1)
 	ev.Eval(f)
 	fe := append([]float64(nil), ev.EdgeFlows()...)
 	pl := ev.PathLatencies()
